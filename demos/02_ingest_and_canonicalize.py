@@ -40,12 +40,12 @@ print(f"unregistered names: {unregistered}")
 
 result = aggregate(canonical, meta, lexicon=lexicon)
 print(f"\naggregated into {len(result.entities)} entities, "
-      f"{len(result.relations)} relations over {result.stats.doc_count} docs")
+      f"{len(result.relations)} relations over {result.doc_count} docs")
 for entity in result.entities:
     print(f"  {entity.id:<14} layer={entity.layer.value:<9} severity={entity.severity}")
 
 graph = build_graph(result.entities, result.relations,
-                    doc_count=result.stats.doc_count)
+                    doc_count=result.doc_count)
 merged = graph.relations[next(iter(graph.relations))]
 print(f"\nduplicate triples merged provenance: "
       f"{merged.source} -> {merged.target} attested by {sorted(merged.doc_ids)}")

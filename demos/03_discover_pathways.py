@@ -9,6 +9,7 @@ planted chain should surface in the top ranks.
 """
 
 from riskpath import (
+    CorpusStats,
     EntityMeta,
     GenSpec,
     Layer,
@@ -37,13 +38,14 @@ triples = [RawTriple(t["s"], t["p"], t["o"], t["doc"]) for t in corpus.triples]
 meta = [EntityMeta(e["name"], Layer.from_string(e["layer"]), e["severity"])
         for e in corpus.entities]
 agg = aggregate(triples, meta)
-graph = build_graph(agg.entities, agg.relations, doc_count=agg.stats.doc_count)
+graph = build_graph(agg.entities, agg.relations, doc_count=agg.doc_count)
 
 config = ScoringConfig()  # stock defaults
 centrality = pagerank(graph, config)
 print(f"pagerank converged in {centrality.iterations_used} iterations")
 
-result = discover(graph, agg.stats, centrality, config, workers=2)
+result = discover(graph, CorpusStats.from_graph(graph), centrality, config,
+                  workers=2)
 print(f"\n{result.candidates_enumerated} candidates from "
       f"{result.sources_processed} physical-layer sources, "
       f"F_max={result.f_max_used}; top {len(result.pathways)}:\n")

@@ -14,9 +14,7 @@ from .graph import (
     Phase,
     Relation,
     build_graph,
-    graph_stats,
     load_snapshot,
-    out_neighbors,
     save_snapshot,
 )
 from .ingest import (

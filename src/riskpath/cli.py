@@ -20,17 +20,16 @@ from . import __version__
 from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import RiskPathError
-from .graph import KnowledgeGraph, Layer, build_graph, load_snapshot, save_snapshot
-from .ingest import (
-    CorpusStats,
-    aggregate,
-    canonicalize,
-    load_layer_lexicon,
-    parse_entity_meta,
-    parse_triples,
-    write_jsonl,
+from .graph import KnowledgeGraph, Layer, load_snapshot
+from .ingest import CorpusStats
+from .pipeline import (
+    PipelineConfig,
+    _atomic_write_json,
+    _load_json_object,
+    ingest,
+    resume as pipeline_resume,
+    run as pipeline_run,
 )
-from .pipeline import PipelineConfig, resume as pipeline_resume, run as pipeline_run
 from .scoring import CentralityScores, ScoringConfig, pagerank
 from .syngen import GenSpec, PlantedChain, generate, write_corpus
 
@@ -65,15 +64,6 @@ def _load_graph(workdir: Path) -> KnowledgeGraph:
             f"no graph snapshot at {snapshot}; run 'riskpath ingest ... --out "
             f"{workdir}' first")
     return load_snapshot(snapshot)
-
-
-def _load_stats(workdir: Path, graph: KnowledgeGraph) -> CorpusStats:
-    path = workdir / "corpus_stats.json"
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            return CorpusStats.from_dict(json.load(fh))
-    logger.info("no corpus_stats.json in %s; deriving stats from the graph", workdir)
-    return CorpusStats.from_graph(graph)
 
 
 def _scoring_config(args) -> ScoringConfig:
@@ -124,51 +114,21 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, centrality_only=False) -
 def cmd_ingest(args) -> int:
     workdir = _resolve_workdir(args.out)
     workdir.mkdir(parents=True, exist_ok=True)
-    with open(args.triples, "r", encoding="utf-8") as fh:
-        triples, parse_errors = parse_triples(fh, args.triples_format,
-                                              args.malformed_tolerance)
-    with open(args.entities, "r", encoding="utf-8") as fh:
-        meta = parse_entity_meta(fh)
-    extra_aliases = None
-    if args.aliases:
-        with open(args.aliases, "r", encoding="utf-8") as fh:
-            extra_aliases = json.load(fh)
-    lexicon = None
-    if args.layer_lexicon:
-        with open(args.layer_lexicon, "r", encoding="utf-8") as fh:
-            lexicon = load_layer_lexicon(json.load(fh))
-
-    canonical, unregistered = canonicalize(triples, meta, extra_aliases)
-    for name in unregistered[:10]:
-        logger.warning("unregistered entity name: %r", name)
-    result = aggregate(canonical, meta, lexicon, strict=args.strict)
-
-    graph = build_graph(result.entities, result.relations,
-                        doc_count=result.stats.doc_count)
-    save_snapshot(graph, workdir / "graph.rpkg")
-    with open(workdir / "corpus_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(result.stats.to_dict(), fh, indent=2, sort_keys=True)
-    write_jsonl(workdir / "rejections.jsonl", result.rejections)
-    write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
-
-    summary = {
-        "workdir": str(workdir),
-        "entities": len(graph.entities),
-        "relations": len(graph.relations),
-        "doc_count": graph.doc_count,
-        "parse_errors": len(parse_errors),
-        "rejections": len(result.rejections),
-        "unregistered": len(unregistered),
-    }
+    config = PipelineConfig(
+        triples=args.triples, entities=args.entities,
+        triples_format=args.triples_format, aliases=args.aliases,
+        layer_lexicon=args.layer_lexicon, strict=args.strict,
+        malformed_tolerance=args.malformed_tolerance)
+    summary = {"workdir": str(workdir), **ingest(config, workdir)}
     if args.format == "json":
         _emit_json(summary)
     else:
         print(f"ingested {summary['entities']} entities, "
               f"{summary['relations']} relations from {summary['doc_count']} docs "
               f"-> {workdir / 'graph.rpkg'}")
-        if parse_errors or result.rejections:
-            print(f"  {len(parse_errors)} parse errors, "
-                  f"{len(result.rejections)} rejections (see reports in {workdir})")
+        if summary["parse_errors"] or summary["rejections"]:
+            print(f"  {summary['parse_errors']} parse errors, "
+                  f"{summary['rejections']} rejections (see reports in {workdir})")
     return EXIT_OK
 
 
@@ -193,8 +153,7 @@ def cmd_pagerank(args) -> int:
     config = _scoring_config(args)
     centrality = pagerank(graph, config)
     out_path = workdir / "pagerank.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(centrality.to_dict(), fh, indent=2, sort_keys=True)
+    _atomic_write_json(out_path, centrality.to_dict())
     if args.format == "json":
         _emit_json(centrality.to_dict())
     else:
@@ -210,12 +169,12 @@ def cmd_pagerank(args) -> int:
 def cmd_discover(args) -> int:
     workdir = _resolve_workdir(args.workdir)
     graph = _load_graph(workdir)
-    stats = _load_stats(workdir, graph)
+    stats = CorpusStats.from_graph(graph)
     config = _scoring_config(args)
     pr_path = workdir / "pagerank.json"
     if pr_path.exists():
-        with open(pr_path, "r", encoding="utf-8") as fh:
-            centrality = CentralityScores.from_dict(json.load(fh))
+        centrality = CentralityScores.from_dict(
+            _load_json_object(pr_path, "pagerank scores"))
         if set(centrality.scores) != set(graph.entities):
             logger.warning("pagerank.json does not match the graph; recomputing")
             centrality = pagerank(graph, config)
@@ -227,9 +186,7 @@ def cmd_discover(args) -> int:
                       prune=args.prune, undirected=args.undirected)
     payload = result.to_json_dict(graph)
     out_path = Path(args.out) if args.out else workdir / "pathways.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write_json(out_path, payload)
     if args.format == "json":
         _emit_json(payload)
     else:

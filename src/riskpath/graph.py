@@ -301,15 +301,6 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
     )
 
 
-def graph_stats(graph: KnowledgeGraph) -> GraphStats:
-    return graph.stats()
-
-
-def out_neighbors(graph: KnowledgeGraph, entity_id: str,
-                  undirected: bool = False) -> list[tuple[str, str]]:
-    return graph.out_neighbors(entity_id, undirected=undirected)
-
-
 # --- snapshot persistence ---------------------------------------------------
 
 def _write_str(buf: BinaryIO, text: str) -> None:

@@ -220,8 +220,11 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
 
 def load_layer_lexicon(data: dict[str, str]) -> list[tuple[str, Layer]]:
     """Fallback keyword -> layer rules, kept in file order (first match wins)."""
-    return [(normalize_name(keyword), Layer.from_string(layer))
-            for keyword, layer in data.items()]
+    try:
+        return [(normalize_name(keyword), Layer.from_string(layer))
+                for keyword, layer in data.items()]
+    except ValueError as exc:
+        raise ConfigError(f"layer lexicon: {exc}") from None
 
 
 def relation_id(subject: str, predicate: str, object_: str) -> str:
@@ -235,14 +238,15 @@ def relation_id(subject: str, predicate: str, object_: str) -> str:
 class AggregateResult:
     entities: list[Entity]
     relations: list[Relation]
-    stats: CorpusStats
+    doc_count: int
     rejections: list[dict] = field(default_factory=list)
 
 
 def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
               lexicon: list[tuple[str, Layer]] | None = None,
               strict: bool = False) -> AggregateResult:
-    """Fold canonical triples into build-ready entities/relations plus stats.
+    """Fold canonical triples into build-ready entities/relations plus the
+    corpus-wide count of distinct documents.
 
     One entity per distinct canonical name appearing in the triples; layer
     and severity come from metadata. Unregistered names fall back to the
@@ -306,19 +310,15 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
                  doc_ids=frozenset(docs), phases=frozenset(phases))
         for (s, p, o), (docs, phases) in sorted(grouped.items())
     ]
-    stats = CorpusStats(
-        doc_count=len(doc_ids),
-        edge_doc_index={rel.id: rel.doc_ids for rel in relations},
-    )
     return AggregateResult(
         entities=list(entities.values()),
         relations=relations,
-        stats=stats,
+        doc_count=len(doc_ids),
         rejections=rejections,
     )
 
 
-# --- metadata / report file helpers ----------------------------------------
+# --- metadata file parsing -------------------------------------------------
 
 def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
     """Entity metadata JSONL: name, layer, severity, optional aliases."""
@@ -346,8 +346,3 @@ def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
             raise IngestError(f"entity metadata line {line_no}: {exc}") from None
     return entries
 
-
-def write_jsonl(path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -1,10 +1,19 @@
-"""Checkpointed, resumable batch pipeline: ingest -> build -> pagerank ->
-discover -> report.
+"""Checkpointed, resumable batch pipeline: ingest -> pagerank -> discover ->
+report.
+
+A working directory holds one artifact per fact. ``ingest`` (also what
+``riskpath ingest`` runs) goes from the input files straight to
+``graph.rpkg``, with the ``rejections.jsonl`` and ``parse_errors.jsonl``
+reports; ``pagerank`` writes ``pagerank.json``; ``discover`` writes
+``pathways.json``, reading per-relation document sets from the graph;
+``report`` writes ``report_temporal.json``, ``report_layers.json`` and
+``report_pathways.txt``. ``config.json`` and ``manifest.json`` record the run.
 
 Each stage records a manifest entry with a fingerprint of exactly the inputs
 it reads (the relevant config fields plus content hashes of its input files)
 and content hashes of the outputs it wrote. A rerun skips stages whose
-fingerprints and outputs still match; anything else is re-executed, along
+fingerprints, output names and output hashes still match; anything else
+(including a manifest from another stage layout) is re-executed, along
 with every stage downstream of it (stages are deterministic, so cascading
 re-runs reproduce identical bytes). Outputs
 are written atomically (temp file + rename), so a crash at any point leaves
@@ -30,21 +39,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import ConfigError, PipelineError, RiskPathError, TransientStageError
-from .graph import (
-    Entity,
-    Layer,
-    Phase,
-    Relation,
-    build_graph,
-    load_snapshot,
-    save_snapshot,
-)
+from .graph import build_graph, load_snapshot, save_snapshot
 from .ingest import (
     CorpusStats,
     aggregate,
@@ -52,22 +53,19 @@ from .ingest import (
     load_layer_lexicon,
     parse_entity_meta,
     parse_triples,
-    write_jsonl,
 )
 from .scoring import CentralityScores, ScoringConfig, pagerank
 
 logger = logging.getLogger(__name__)
 
-STAGE_ORDER = ("ingest", "build", "pagerank", "discover", "report")
+STAGE_ORDER = ("ingest", "pagerank", "discover", "report")
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = "pipeline.lock"
 CONFIG_NAME = "config.json"
 
 STAGE_OUTPUTS = {
-    "ingest": ("entities.json", "relations.json", "corpus_stats.json",
-               "rejections.jsonl", "parse_errors.jsonl"),
-    "build": ("graph.rpkg",),
+    "ingest": ("graph.rpkg", "rejections.jsonl", "parse_errors.jsonl"),
     "pagerank": ("pagerank.json",),
     "discover": ("pathways.json",),
     "report": ("report_temporal.json", "report_layers.json", "report_pathways.txt"),
@@ -94,6 +92,13 @@ class PipelineConfig:
     temporal_by: str = "target"
     retry_limit: int = 3
     retry_base_delay: float = 0.5
+
+    def __post_init__(self):
+        # paths are kept as str so the config round-trips through JSON
+        for name in ("triples", "entities", "aliases", "layer_lexicon"):
+            value = getattr(self, name)
+            if isinstance(value, os.PathLike):
+                setattr(self, name, os.fspath(value))
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -222,6 +227,28 @@ def _atomic_write_json(path: Path, data) -> None:
     _atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _atomic_write_jsonl(path: Path, rows: list[dict]) -> None:
+    _atomic_write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n"
+                                     for row in rows))
+
+
+def _load_json(path: Path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load_json_object(path, what: str) -> dict:
+    """Read a JSON object file; unparsable JSON or another JSON type is a
+    ConfigError naming ``what`` the file should hold."""
+    try:
+        data = _load_json(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return data
+
+
 def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -> str:
     scoring = config.scoring
     if stage == "ingest":
@@ -230,13 +257,6 @@ def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -
         files = _hash_inputs({
             "triples": config.triples, "entities": config.entities,
             "aliases": config.aliases, "layer_lexicon": config.layer_lexicon,
-        })
-    elif stage == "build":
-        part = {}
-        files = _hash_inputs({
-            "entities": str(workdir / "entities.json"),
-            "relations": str(workdir / "relations.json"),
-            "corpus_stats": str(workdir / "corpus_stats.json"),
         })
     elif stage == "pagerank":
         part = {"damping": scoring.damping, "pr_tolerance": scoring.pr_tolerance,
@@ -250,7 +270,6 @@ def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -
                 "undirected": config.undirected}
         files = _hash_inputs({
             "graph": str(workdir / "graph.rpkg"),
-            "corpus_stats": str(workdir / "corpus_stats.json"),
             "pagerank": str(workdir / "pagerank.json"),
         })
     elif stage == "report":
@@ -266,78 +285,44 @@ def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -
 
 # --- stage bodies -------------------------------------------------------------
 
-def _entity_to_dict(entity: Entity) -> dict:
-    return {"id": entity.id, "name": entity.canonical_name,
-            "layer": entity.layer.value, "severity": entity.severity,
-            "aliases": sorted(entity.aliases)}
+def _string_map(path, what: str) -> dict[str, str]:
+    data = _load_json_object(path, what)
+    if not all(isinstance(value, str) for value in data.values()):
+        raise ConfigError(f"{path}: {what} values must be strings")
+    return data
 
 
-def _entity_from_dict(data: dict) -> Entity:
-    return Entity(id=data["id"], canonical_name=data["name"],
-                  layer=Layer.from_string(data["layer"]),
-                  severity=data["severity"],
-                  aliases=frozenset(data["aliases"]))
+def ingest(config: PipelineConfig, workdir: Path) -> dict:
+    """Parse, canonicalize and aggregate the input files into ``graph.rpkg``.
 
-
-def _relation_to_dict(rel: Relation) -> dict:
-    return {"id": rel.id, "source": rel.source, "predicate": rel.predicate,
-            "target": rel.target, "doc_ids": sorted(rel.doc_ids),
-            "phases": sorted(p.value for p in rel.phases)}
-
-
-def _relation_from_dict(data: dict) -> Relation:
-    return Relation(id=data["id"], source=data["source"],
-                    predicate=data["predicate"], target=data["target"],
-                    doc_ids=frozenset(data["doc_ids"]),
-                    phases=frozenset(Phase.from_string(p) for p in data["phases"]))
-
-
-def _load_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _stage_ingest(config: PipelineConfig, workdir: Path) -> None:
+    Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
+    every file is written atomically. Returns counts for a summary line.
+    """
     with open(config.triples, "r", encoding="utf-8") as fh:
         triples, parse_errors = parse_triples(
             fh, config.triples_format, config.malformed_tolerance)
     with open(config.entities, "r", encoding="utf-8") as fh:
         meta = parse_entity_meta(fh)
-    extra_aliases = None
-    if config.aliases:
-        extra_aliases = _load_json(Path(config.aliases))
-        if not isinstance(extra_aliases, dict):
-            raise ConfigError(f"{config.aliases}: alias file must be a JSON object")
-    lexicon = None
-    if config.layer_lexicon:
-        lex_data = _load_json(Path(config.layer_lexicon))
-        if not isinstance(lex_data, dict):
-            raise ConfigError(f"{config.layer_lexicon}: lexicon must be a JSON object")
-        lexicon = load_layer_lexicon(lex_data)
+    extra_aliases = (_string_map(config.aliases, "alias file")
+                     if config.aliases else None)
+    lexicon = (load_layer_lexicon(_string_map(config.layer_lexicon, "layer lexicon"))
+               if config.layer_lexicon else None)
 
     canonical, unregistered = canonicalize(triples, meta, extra_aliases)
     if unregistered:
         logger.warning("%d unregistered entity names (first: %r)",
                        len(unregistered), unregistered[0])
     result = aggregate(canonical, meta, lexicon, strict=config.strict)
+    graph = build_graph(result.entities, result.relations, doc_count=result.doc_count)
 
-    _atomic_write_json(workdir / "entities.json",
-                       [_entity_to_dict(e) for e in result.entities])
-    _atomic_write_json(workdir / "relations.json",
-                       [_relation_to_dict(r) for r in result.relations])
-    _atomic_write_json(workdir / "corpus_stats.json", result.stats.to_dict())
-    write_jsonl(workdir / "rejections.jsonl", result.rejections)
-    write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
-
-
-def _stage_build(config: PipelineConfig, workdir: Path) -> None:
-    entities = [_entity_from_dict(d) for d in _load_json(workdir / "entities.json")]
-    relations = [_relation_from_dict(d) for d in _load_json(workdir / "relations.json")]
-    stats = CorpusStats.from_dict(_load_json(workdir / "corpus_stats.json"))
-    graph = build_graph(entities, relations, doc_count=stats.doc_count)
     tmp = workdir / "graph.rpkg.tmp"
     save_snapshot(graph, tmp)
     os.replace(tmp, workdir / "graph.rpkg")
+    _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
+    _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
+    return {"entities": len(graph.entities), "relations": len(graph.relations),
+            "doc_count": graph.doc_count, "parse_errors": len(parse_errors),
+            "rejections": len(result.rejections), "unregistered": len(unregistered)}
 
 
 def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
@@ -348,9 +333,8 @@ def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
 
 def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     graph = load_snapshot(workdir / "graph.rpkg")
-    stats = CorpusStats.from_dict(_load_json(workdir / "corpus_stats.json"))
     centrality = CentralityScores.from_dict(_load_json(workdir / "pagerank.json"))
-    result = discover(graph, stats, centrality, config.scoring,
+    result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
                       workers=config.workers, prune=config.prune,
                       undirected=config.undirected)
     _atomic_write_json(workdir / "pathways.json", result.to_json_dict(graph))
@@ -368,8 +352,7 @@ def _stage_report(config: PipelineConfig, workdir: Path) -> None:
 
 
 STAGES = {
-    "ingest": _stage_ingest,
-    "build": _stage_build,
+    "ingest": ingest,
     "pagerank": _stage_pagerank,
     "discover": _stage_discover,
     "report": _stage_report,
@@ -478,6 +461,7 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
             record = records.get(stage)
             if (not upstream_ran and record is not None and record.status == "done"
                     and record.input_fingerprint == fingerprint
+                    and record.output_paths == list(STAGE_OUTPUTS[stage])
                     and _outputs_valid(workdir, record)):
                 skipped.append(stage)
                 continue

@@ -133,12 +133,18 @@ class CentralityScores:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CentralityScores":
-        return cls(
-            scores=dict(data["scores"]),
-            normalized=dict(data["normalized"]),
-            iterations_used=int(data["iterations_used"]),
-            converged=bool(data["converged"]),
-        )
+        """Inverse of :meth:`to_dict`; a missing or ill-typed key raises
+        ScoringError."""
+        try:
+            scores, normalized = dict(data["scores"]), dict(data["normalized"])
+            iterations_used, converged = data["iterations_used"], data["converged"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScoringError(f"centrality scores: missing or malformed {exc}") from None
+        if (not all(isinstance(v, (int, float))
+                    for v in [*scores.values(), *normalized.values()])
+                or type(iterations_used) is not int or not isinstance(converged, bool)):
+            raise ScoringError("centrality scores: ill-typed value")
+        return cls(scores, normalized, iterations_used, converged)
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,9 @@ def test_criterion_6_planted_chain_recovery():
                 for r in produced.entities]
         agg = aggregate(triples, meta)
         graph = build_graph(agg.entities, agg.relations,
-                            doc_count=agg.stats.doc_count)
+                            doc_count=agg.doc_count)
         centrality = pagerank(graph, DEFAULTS)
-        result = discover(graph, agg.stats, centrality, DEFAULTS)
+        result = discover(graph, CorpusStats.from_graph(graph), centrality, DEFAULTS)
 
         manifest_chain = produced.manifest["chains"][0]
         target = Pathway(tuple(manifest_chain["entities"]),
@@ -292,7 +292,7 @@ def test_criterion_8_crash_resume_equivalence(tmp_path):
     assert proc.returncode == 0, proc.stderr
     reference = (clean / "pathways.json").read_bytes()
 
-    kill_points = ("after_record:build", "before_record:discover",
+    kill_points = ("after_record:ingest", "before_record:discover",
                    "after_record:discover", "before_record:report")
     for i, crash_at in enumerate(kill_points):
         workdir = tmp_path / f"crash{i}"

@@ -15,6 +15,7 @@ from riskpath import (
     save_snapshot,
 )
 from riskpath.cli import main
+from riskpath.pipeline import PipelineConfig, run
 from riskpath.syngen import generate, write_corpus
 from util import TEMPORAL_REFERENCE_CELLS, temporal_reference_graph
 
@@ -48,9 +49,36 @@ def run_json(capsys, argv):
 class TestIngestCommand:
     def test_valid_fixture_exit_zero(self, workdir):
         assert (workdir / "graph.rpkg").exists()
-        assert (workdir / "corpus_stats.json").exists()
         assert (workdir / "rejections.jsonl").exists()
+        assert (workdir / "parse_errors.jsonl").exists()
+        for name in ("entities.json", "relations.json", "corpus_stats.json"):
+            assert not (workdir / name).exists()
         load_snapshot(workdir / "graph.rpkg")
+
+    def test_writes_pipeline_ingest_bytes(self, tmp_path, corpus_dir, workdir):
+        run(PipelineConfig(triples=corpus_dir / "triples.jsonl",
+                           entities=corpus_dir / "entities.jsonl"), tmp_path / "p")
+        for name in ("graph.rpkg", "rejections.jsonl", "parse_errors.jsonl"):
+            assert (workdir / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--aliases", "{not json"),
+        ("--aliases", '["heat", "heatwave"]'),
+        ("--aliases", '{"heat": 5}'),
+        ("--layer-lexicon", "{not json"),
+        ("--layer-lexicon", '["flood"]'),
+        ("--layer-lexicon", '{"flood": "orbital"}'),
+    ], ids=["aliases-unparsable", "aliases-list", "aliases-non-string",
+            "lexicon-unparsable", "lexicon-list", "lexicon-unknown-layer"])
+    def test_malformed_side_file_exit_one(self, tmp_path, corpus_dir, capsys,
+                                          flag, text):
+        side = tmp_path / "side.json"
+        side.write_text(text)
+        code = main(["ingest", "--triples", str(corpus_dir / "triples.jsonl"),
+                     "--entities", str(corpus_dir / "entities.jsonl"),
+                     flag, str(side), "--out", str(tmp_path / "w")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_too_many_malformed_exit_one(self, tmp_path, corpus_dir):
         bad = tmp_path / "bad.jsonl"
@@ -119,8 +147,7 @@ class TestDiscoverCommand:
             "discover", str(workdir), "--theta", "0.5", "--format", "json"])
         assert code == 0
         graph = load_snapshot(workdir / "graph.rpkg")
-        stats = CorpusStats.from_dict(
-            json.loads((workdir / "corpus_stats.json").read_text()))
+        stats = CorpusStats.from_graph(graph)
         config = ScoringConfig(theta_novelty=0.5)
         centrality = pagerank(graph, config)
         expected = discover(graph, stats, centrality, config).to_json_dict(graph)
@@ -145,8 +172,7 @@ class TestDiscoverCommand:
         assert top5["pathways"] == full["pathways"][:5]
         # ranking agrees with the exhaustive oracle
         graph = load_snapshot(workdir / "graph.rpkg")
-        stats = CorpusStats.from_dict(
-            json.loads((workdir / "corpus_stats.json").read_text()))
+        stats = CorpusStats.from_graph(graph)
         config = ScoringConfig(theta_novelty=0.3, top_k=5)
         oracle = enumerate_oracle(graph, stats, pagerank(graph, config), config)
         assert top5["pathways"] == oracle.to_json_dict(graph)["pathways"]
@@ -156,8 +182,7 @@ class TestDiscoverCommand:
                                           "--format", "json"])
         assert code == 0
         graph = load_snapshot(workdir / "graph.rpkg")
-        stats = CorpusStats.from_dict(
-            json.loads((workdir / "corpus_stats.json").read_text()))
+        stats = CorpusStats.from_graph(graph)
         config = ScoringConfig()
         expected = discover(graph, stats, pagerank(graph, config),
                             config).to_json_dict(graph)
@@ -173,6 +198,30 @@ class TestDiscoverCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "→" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "normalized"}),
+        lambda text: text[:len(text) // 2],
+        lambda text: "[]",
+    ], ids=["missing-normalized", "truncated", "not-an-object"])
+    def test_bad_pagerank_json_exit_one(self, workdir, capsys, edit):
+        assert main(["pagerank", str(workdir)]) == 0
+        pr_path = workdir / "pagerank.json"
+        pr_path.write_text(edit(pr_path.read_text()))
+        capsys.readouterr()
+        assert main(["discover", str(workdir)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_leftover_corpus_stats_is_never_read(self, workdir, capsys):
+        code, expected = run_json(capsys, ["discover", str(workdir),
+                                           "--format", "json"])
+        assert code == 0
+        (workdir / "corpus_stats.json").write_text("garbage")
+        code, payload = run_json(capsys, ["discover", str(workdir),
+                                          "--format", "json"])
+        assert code == 0
+        assert payload == expected
 
     def test_missing_artifacts_exit_one_with_hint(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -268,8 +317,7 @@ class TestPipelineCommand:
             "pipeline", "run", "--config", str(config_path),
             "--workdir", str(wd), "--format", "json"])
         assert code == 0
-        assert summary["executed"] == ["ingest", "build", "pagerank",
-                                       "discover", "report"]
+        assert summary["executed"] == ["ingest", "pagerank", "discover", "report"]
         code, summary = run_json(capsys, [
             "pipeline", "resume", "--workdir", str(wd), "--format", "json"])
         assert code == 0

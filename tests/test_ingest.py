@@ -163,7 +163,7 @@ class TestAggregate:
         result = aggregate(triples, META)
         assert len(result.relations) == 1
         assert result.relations[0].doc_ids == frozenset({"d1", "d2"})
-        assert result.stats.doc_count == 2
+        assert result.doc_count == 2
 
     def test_unregistered_gets_midpoint_severity_via_lexicon(self):
         lexicon = load_layer_lexicon({"flood": "physical"})
@@ -182,7 +182,7 @@ class TestAggregate:
         assert any(r["name"] == "mystery" for r in result.rejections)
         assert len(result.relations) == 1
         # doc d1 still counts toward the corpus-wide distinct-doc tally
-        assert result.stats.doc_count == 2
+        assert result.doc_count == 2
 
     def test_strict_mode_fails(self):
         triples = [RawTriple("mystery", "does", "water demand", "d1")]
@@ -205,7 +205,7 @@ class TestAggregate:
             other = aggregate(shuffled, META)
             assert other.entities == base.entities
             assert other.relations == base.relations
-            assert other.stats == base.stats
+            assert other.doc_count == base.doc_count
 
     @given(st.lists(
         st.tuples(st.sampled_from(["heatwave", "water demand", "crop failure"]),
@@ -219,7 +219,7 @@ class TestAggregate:
         result = aggregate(triples, META)
         pairs = {(t.subject, t.predicate, t.object, t.doc_id) for t in triples}
         assert sum(len(r.doc_ids) for r in result.relations) == len(pairs)
-        assert result.stats.doc_count == len({t.doc_id for t in triples})
+        assert result.doc_count == len({t.doc_id for t in triples})
 
     def test_relation_ids_stable(self):
         assert relation_id("a", "b", "c") == relation_id("a", "b", "c")

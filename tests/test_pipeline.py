@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,14 +77,18 @@ class TestRun:
             for name in record.output_paths:
                 assert (workdir / name).exists()
         assert (workdir / "pathways.json").exists()
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert [r["stage_name"] for r in manifest] == [
+            "ingest", "pagerank", "discover", "report"]
+        for name in ("entities.json", "relations.json", "corpus_stats.json"):
+            assert not (workdir / name).exists()
 
     def test_pipeline_output_equals_library_calls(self, tmp_path):
         config = make_config(tmp_path)
         workdir = tmp_path / "work"
         run(config, workdir)
         graph = load_snapshot(workdir / "graph.rpkg")
-        stats = CorpusStats.from_dict(
-            json.loads((workdir / "corpus_stats.json").read_text()))
+        stats = CorpusStats.from_graph(graph)
         centrality = CentralityScores.from_dict(
             json.loads((workdir / "pagerank.json").read_text()))
         expected = discover(graph, stats, centrality, config.scoring,
@@ -110,19 +115,81 @@ class TestRun:
         changed = make_config(tmp_path,
                               scoring=ScoringConfig(theta_novelty=0.55))
         summary = run(changed, workdir)
-        assert summary.skipped == ["ingest", "build", "pagerank"]
+        assert summary.skipped == ["ingest", "pagerank"]
         assert summary.executed == ["discover", "report"]
 
-    def test_corrupted_intermediate_reruns_stage_and_downstream(self, tmp_path):
+    @staticmethod
+    def corrupt_and_rerun(tmp_path, artifact):
         config = make_config(tmp_path)
         workdir = tmp_path / "work"
         run(config, workdir)
-        (workdir / "graph.rpkg").write_bytes(b"garbage")
+        before = {name: (workdir / name).read_bytes()
+                  for name in ("graph.rpkg", "pagerank.json", "pathways.json")}
+        (workdir / artifact).write_bytes(b"garbage")
         summary = run(config, workdir)
+        # artifact restored and downstream consistent again
+        for name, data in before.items():
+            assert (workdir / name).read_bytes() == data, name
+        return summary
+
+    def test_corrupted_intermediate_reruns_stage_and_downstream(self, tmp_path):
+        summary = self.corrupt_and_rerun(tmp_path, "graph.rpkg")
+        assert summary.skipped == []
+        assert summary.executed == ["ingest", "pagerank", "discover", "report"]
+
+    def test_corrupted_pagerank_reruns_stage_and_downstream(self, tmp_path):
+        summary = self.corrupt_and_rerun(tmp_path, "pagerank.json")
         assert summary.skipped == ["ingest"]
-        assert summary.executed == ["build", "pagerank", "discover", "report"]
-        # graph restored and downstream consistent again
-        load_snapshot(workdir / "graph.rpkg")
+        assert summary.executed == ["pagerank", "discover", "report"]
+
+    def test_five_stage_manifest_reruns_everything(self, tmp_path):
+        # a workdir left by the layout with a separate build stage and JSON
+        # intermediates: its ingest record names other outputs
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        before = (workdir / "pathways.json").read_bytes()
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        old_outputs = ["entities.json", "relations.json", "corpus_stats.json",
+                       "rejections.jsonl", "parse_errors.jsonl"]
+        for name in old_outputs[:3]:
+            (workdir / name).write_text("garbage")
+        manifest[0]["output_paths"] = old_outputs
+        manifest[0]["output_fingerprints"] = [
+            pipeline._sha256_file(workdir / name) for name in old_outputs]
+        manifest.insert(1, dict(manifest[1], stage_name="build",
+                                output_paths=["graph.rpkg"],
+                                output_fingerprints=[
+                                    pipeline._sha256_file(workdir / "graph.rpkg")]))
+        (workdir / "manifest.json").write_text(json.dumps(manifest))
+        summary = resume(workdir)
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert (workdir / "pathways.json").read_bytes() == before
+        rewritten = json.loads((workdir / "manifest.json").read_text())
+        assert [r["stage_name"] for r in rewritten] == list(pipeline.STAGE_ORDER)
+
+    def test_leftover_corpus_stats_is_never_read(self, tmp_path):
+        config = make_config(tmp_path)
+        clean = tmp_path / "clean"
+        run(config, clean)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "corpus_stats.json").write_text(
+            json.dumps({"doc_count": 1, "edge_doc_index": {}}))
+        run(config, workdir)
+        assert ((workdir / "pathways.json").read_bytes()
+                == (clean / "pathways.json").read_bytes())
+
+    def test_path_typed_config_runs(self, tmp_path):
+        config = make_config(tmp_path)
+        path_config = make_config(tmp_path, triples=Path(config.triples),
+                                  entities=Path(config.entities))
+        assert path_config == config
+        assert isinstance(path_config.triples, str)
+        summary = run(path_config, tmp_path / "work")
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert (PipelineConfig.from_json_file(tmp_path / "work" / "config.json")
+                == config)
 
     def test_failure_recorded_in_manifest(self, tmp_path):
         config = make_config(tmp_path)
@@ -159,11 +226,11 @@ class TestRetryIntegration:
         def always_broken(cfg, wd):
             raise TransientStageError("still broken")
 
-        monkeypatch.setitem(pipeline.STAGES, "build", always_broken)
+        monkeypatch.setitem(pipeline.STAGES, "pagerank", always_broken)
         with pytest.raises(PipelineError, match="4 attempt"):
             run(config, workdir)
         manifest = json.loads((workdir / "manifest.json").read_text())
-        record = next(r for r in manifest if r["stage_name"] == "build")
+        record = next(r for r in manifest if r["stage_name"] == "pagerank")
         assert record["status"] == "failed"
         assert record["attempts"] == 4
 
@@ -229,7 +296,8 @@ class TestCrashResume:
         assert proc.returncode == 70
         # the interrupted run must not have completed
         manifest = json.loads((crash_dir / "manifest.json").read_text())
-        assert any(r["status"] != "done" for r in manifest) or len(manifest) < 5
+        assert (any(r["status"] != "done" for r in manifest)
+                or len(manifest) < len(pipeline.STAGE_ORDER))
 
         summary = resume(crash_dir)
         assert summary.executed, "resume should re-run something"

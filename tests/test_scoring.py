@@ -141,6 +141,31 @@ def fake_centrality(normalized: dict[str, float]) -> CentralityScores:
                             iterations_used=1, converged=True)
 
 
+class TestCentralityScoresFromDict:
+    def test_round_trip(self):
+        centrality = fake_centrality({"a": 1.0, "b": 0.5})
+        assert CentralityScores.from_dict(centrality.to_dict()) == centrality
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("normalized"),
+        lambda d: d.pop("converged"),
+        lambda d: d.update(scores=[0.5, 0.5]),
+        lambda d: d.update(normalized={"a": "1.0", "b": 0.5}),
+        lambda d: d.update(iterations_used="1"),
+        lambda d: d.update(converged="yes"),
+    ], ids=["no-normalized", "no-converged", "scores-list", "string-score",
+            "string-iterations", "string-converged"])
+    def test_missing_or_ill_typed_key_is_scoring_error(self, edit):
+        data = fake_centrality({"a": 1.0, "b": 0.5}).to_dict()
+        edit(data)
+        with pytest.raises(ScoringError):
+            CentralityScores.from_dict(data)
+
+    def test_non_object_is_scoring_error(self):
+        with pytest.raises(ScoringError):
+            CentralityScores.from_dict([])
+
+
 class TestImpactPotential:
     def test_all_ones(self):
         graph, _ = chain_graph([Layer.PHYSICAL, Layer.SOCIAL], severities=[1.0, 1.0])

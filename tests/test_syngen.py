@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from riskpath import (
+    CorpusStats,
     GenSpec,
     GenerationError,
     Layer,
@@ -112,10 +113,10 @@ class TestGeneration:
         counts = result.manifest["counts"]
         assert counts["entities"] == len(agg.entities)
         assert counts["relations"] == len(agg.relations)
-        assert counts["docs"] == agg.stats.doc_count
+        assert counts["docs"] == agg.doc_count
         assert counts["triples"] == len(result.triples)
         graph = build_graph(agg.entities, agg.relations,
-                            doc_count=agg.stats.doc_count)
+                            doc_count=agg.doc_count)
         by_layer = {layer.value: 0 for layer in Layer}
         for entity in graph.entities.values():
             by_layer[entity.layer.value] += 1
@@ -129,7 +130,8 @@ class TestGeneration:
             manifest_chain = result.manifest["chains"][0]
             pathway = Pathway(tuple(manifest_chain["entities"]),
                               tuple(manifest_chain["relation_ids"]))
-            assert pathway_frequency(pathway, agg.stats) == attestations
+            stats = CorpusStats.from_graph(build_graph(agg.entities, agg.relations))
+            assert pathway_frequency(pathway, stats) == attestations
 
     def test_planted_edges_only_in_attestation_docs(self):
         result = generate(small_spec())
