@@ -3,7 +3,8 @@
 
 Entities live on one of three layers (physical / social / economic), edges
 are directed and carry document provenance. The graph is immutable after
-build and round-trips through a binary snapshot.
+build and round-trips through a snapshot file (a short header plus one JSON
+document).
 """
 
 import tempfile

@@ -216,21 +216,29 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def cmd_export(args) -> int:
     workdir = _resolve_workdir(args.workdir)
     graph = _load_graph(workdir)
 
     relations = list(graph.relations.values())
     if args.pathways:
-        with open(args.pathways, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        rows = _load_json_object(args.pathways, "pathways file").get("pathways", [])
+        if not isinstance(rows, list):
+            raise RiskPathError(f"{args.pathways}: 'pathways' must be a list")
         name_to_id = {e.canonical_name: eid for eid, e in graph.entities.items()}
         by_triple = {rel.triple: rel for rel in graph.relations.values()}
         relations = []
         seen = set()
-        for row in payload.get("pathways", []):
-            entities = row["entities"]
-            predicates = row["predicates"]
+        for row in rows:
+            if not (isinstance(row, dict) and _is_str_list(row.get("entities"))
+                    and _is_str_list(row.get("predicates"))):
+                raise RiskPathError(f"{args.pathways}: each pathway needs 'entities' "
+                                    f"and 'predicates' lists of strings")
+            entities, predicates = row["entities"], row["predicates"]
             for a, pred, b in zip(entities, predicates, entities[1:]):
                 try:
                     triple = (name_to_id[a], pred, name_to_id[b])

@@ -5,37 +5,38 @@ are directed labeled edges carrying document provenance and optional temporal
 phase tags. The graph is built once from validated inputs and is read-only
 afterwards, which makes it safe to share across discovery workers.
 
-Snapshot format (version 1)
+Snapshot format (version 2)
 ---------------------------
-Binary, big-endian, deterministic (same graph -> identical bytes):
+A 6-byte header, magic ``b"RPKG"`` then the version as a big-endian u16,
+followed by one JSON document (keys in this order, compact separators,
+ASCII escapes)::
 
-    magic      4 bytes  b"RPKG"
-    version    u16
-    doc_count  u32
-    entities   u32 count, then per entity (sorted by id):
-                   str id, str canonical_name, u8 layer, f64 severity,
-                   u32 alias count, str aliases (sorted)
-    relations  u32 count, then per relation (sorted by id):
-                   str id, str source, str predicate, str target,
-                   u32 doc count, str doc ids (sorted), u8 phase bitmask
-    adjacency  out then in: per entity (entity order):
-                   u32 count, u32 relation indices (into relation order)
+    {"doc_count": int,
+     "entities":  [[id, canonical_name, layer, severity, [aliases]], ...],
+     "relations": [[id, source, predicate, target, [doc ids], [phases]], ...]}
 
-where ``str`` is a u32 byte length followed by UTF-8 bytes. Any truncation,
-trailing bytes, or cross-reference mismatch raises SnapshotError.
+Records are in id order, aliases and doc ids sorted, phases in ``Phase``
+order; layers and phases are stored by value. The same graph always gives
+the same bytes. Adjacency is not stored: ``load_snapshot`` derives it
+through ``build_graph``, which also checks every cross-reference. Any
+truncation, trailing bytes, ill-typed or misordered record, or repeated
+triple raises SnapshotError.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import GraphBuildError, SnapshotError, UnknownEntityError
 
 SNAPSHOT_MAGIC = b"RPKG"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class Layer(Enum):
@@ -80,9 +81,6 @@ class Phase(Enum):
         except ValueError:
             raise ValueError(f"unknown phase {text!r}; expected one of "
                              f"{[m.value for m in cls]}") from None
-
-
-_PHASE_BIT = {Phase.ACUTE: 1, Phase.SUBACUTE: 2, Phase.CHRONIC: 4}
 
 
 @dataclass(frozen=True)
@@ -303,156 +301,116 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
 
 # --- snapshot persistence ---------------------------------------------------
 
-def _write_str(buf: BinaryIO, text: str) -> None:
-    data = text.encode("utf-8")
-    buf.write(struct.pack(">I", len(data)))
-    buf.write(data)
+_HEADER = struct.Struct(">4sH")
+_LAYERS = {layer.value: layer for layer in Layer}
+_PHASES = {phase.value: phase for phase in Phase}
+_ENTITY_ROW = (str, str, str, float, list)
+_RELATION_ROW = (str, str, str, str, list, list)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SnapshotError("snapshot truncated")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SnapshotError(f"snapshot contains invalid UTF-8: {exc}") from None
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+def _write_records(fh, rows: Iterator[list]) -> None:
+    """Write rows as the comma-separated items of a JSON array, encoding 1024
+    at a time: few encoder calls, and never the whole section in memory."""
+    sep = b""
+    while chunk := list(islice(rows, 1024)):
+        fh.write(sep + _encode(chunk)[1:-1].encode("ascii"))
+        sep = b","
 
 
 def save_snapshot(graph: KnowledgeGraph, path) -> None:
-    """Serialize the graph to the versioned binary snapshot format."""
-    layer_code = {layer: i for i, layer in enumerate(Layer)}
-    rel_index = {rid: i for i, rid in enumerate(graph.relations)}
-    with open(path, "wb") as buf:
-        buf.write(SNAPSHOT_MAGIC)
-        buf.write(struct.pack(">H", SNAPSHOT_VERSION))
-        buf.write(struct.pack(">I", graph.doc_count))
-
-        buf.write(struct.pack(">I", len(graph.entities)))
-        for entity in graph.entities.values():
-            _write_str(buf, entity.id)
-            _write_str(buf, entity.canonical_name)
-            buf.write(struct.pack(">B", layer_code[entity.layer]))
-            buf.write(struct.pack(">d", entity.severity))
-            aliases = sorted(entity.aliases)
-            buf.write(struct.pack(">I", len(aliases)))
-            for alias in aliases:
-                _write_str(buf, alias)
-
-        buf.write(struct.pack(">I", len(graph.relations)))
-        for rel in graph.relations.values():
-            _write_str(buf, rel.id)
-            _write_str(buf, rel.source)
-            _write_str(buf, rel.predicate)
-            _write_str(buf, rel.target)
-            docs = sorted(rel.doc_ids)
-            buf.write(struct.pack(">I", len(docs)))
-            for doc in docs:
-                _write_str(buf, doc)
-            mask = 0
-            for phase in rel.phases:
-                mask |= _PHASE_BIT[phase]
-            buf.write(struct.pack(">B", mask))
-
-        for adjacency in (graph.out_adjacency, graph.in_adjacency):
-            for eid in graph.entities:
-                rids = adjacency[eid]
-                buf.write(struct.pack(">I", len(rids)))
-                for rid in rids:
-                    buf.write(struct.pack(">I", rel_index[rid]))
+    """Write the graph as the ``RPKG`` header plus one JSON document, with
+    the bytes of a single ``json.dumps`` of the payload."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION))
+        fh.write(b'{"doc_count":%d,"entities":[' % graph.doc_count)
+        _write_records(fh, (
+            [e.id, e.canonical_name, e.layer.value, e.severity, sorted(e.aliases)]
+            for e in graph.entities.values()))
+        fh.write(b'],"relations":[')
+        _write_records(fh, (
+            [r.id, r.source, r.predicate, r.target, sorted(r.doc_ids),
+             [p.value for p in Phase if p in r.phases]]
+            for r in graph.relations.values()))
+        fh.write(b"]}")
 
 
-def load_snapshot(path) -> KnowledgeGraph:
-    """Read a snapshot back into a graph, validating structure throughout."""
+def _all_str(values: list) -> bool:
+    return set(map(type, values)) <= {str}
+
+
+def _build_inputs(payload, path) -> tuple[list[Entity], list[Relation], int]:
+    """Check the shape and type of every decoded record and turn the records
+    into ``build_graph`` inputs. Raises SnapshotError, or GraphBuildError
+    from the Entity and Relation constructors."""
+    if not (type(payload) is dict and list(payload) == ["doc_count", "entities", "relations"]
+            and tuple(map(type, payload.values())) == (int, list, list)):
+        raise SnapshotError(f"{path}: payload is not an object of an int doc_count "
+                            f"then entities and relations lists")
+    doc_count, entity_rows, relation_rows = payload.values()
+
+    entities = []
+    for i, row in enumerate(entity_rows):
+        if not (type(row) is list and tuple(map(type, row)) == _ENTITY_ROW
+                and row[2] in _LAYERS and _all_str(row[4])):
+            raise SnapshotError(f"{path}: entity record {i} is ill-typed")
+        eid, name, layer, severity, aliases = row
+        entities.append(Entity(eid, name, _LAYERS[layer], severity, frozenset(aliases)))
+    relations = []
+    for i, row in enumerate(relation_rows):
+        if not (type(row) is list and tuple(map(type, row)) == _RELATION_ROW
+                and _all_str(row[4]) and _all_str(row[5]) and _PHASES.keys() >= set(row[5])):
+            raise SnapshotError(f"{path}: relation record {i} is ill-typed")
+        rid, source, predicate, target, docs, phases = row
+        relations.append(Relation(rid, source, predicate, target, frozenset(docs),
+                                  frozenset(map(_PHASES.get, phases))))
+    return entities, relations, doc_count
+
+
+def _read_payload(path):
+    """Check a snapshot file's header and decode its JSON document."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
 
-    reader = _Reader(data)
-    if reader.take(4) != SNAPSHOT_MAGIC:
-        raise SnapshotError(f"{path} is not a graph snapshot (bad magic)")
-    version = reader.u16()
+    if len(data) < _HEADER.size or data[:4] != SNAPSHOT_MAGIC:
+        raise SnapshotError(f"{path} is not a graph snapshot (bad magic or short header)")
+    version = _HEADER.unpack_from(data)[1]
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
-            f"{path}: snapshot version {version} unsupported "
-            f"(expected {SNAPSHOT_VERSION})")
-    doc_count = reader.u32()
-
-    layers = list(Layer)
-    phases_by_bit = {bit: phase for phase, bit in _PHASE_BIT.items()}
-
-    entities = []
-    for _ in range(reader.u32()):
-        eid = reader.string()
-        name = reader.string()
-        code = reader.u8()
-        if code >= len(layers):
-            raise SnapshotError(f"{path}: invalid layer code {code}")
-        severity = reader.f64()
-        aliases = frozenset(reader.string() for _ in range(reader.u32()))
-        entities.append(Entity(eid, name, layers[code], severity, aliases))
-
-    relations = []
-    for _ in range(reader.u32()):
-        rid = reader.string()
-        source = reader.string()
-        predicate = reader.string()
-        target = reader.string()
-        docs = frozenset(reader.string() for _ in range(reader.u32()))
-        mask = reader.u8()
-        phases = frozenset(phase for bit, phase in phases_by_bit.items() if mask & bit)
-        relations.append(Relation(rid, source, predicate, target, docs, phases))
-
-    stored_adj = []
-    for _ in range(2):
-        per_entity = []
-        for _ in range(len(entities)):
-            count = reader.u32()
-            per_entity.append(tuple(reader.u32() for _ in range(count)))
-        stored_adj.append(per_entity)
-    if not reader.done():
-        raise SnapshotError(f"{path}: trailing bytes after snapshot payload")
+            f"{path}: snapshot version {version} unsupported (expected "
+            f"{SNAPSHOT_VERSION}); re-run 'riskpath ingest' to rebuild it")
 
     try:
+        text = data[_HEADER.size:].decode("ascii")
+        payload, end = json.JSONDecoder().raw_decode(text)
+        # only a \uD800-\uDFFF escape can decode to a lone surrogate, which
+        # no UTF-8 writer could encode; most snapshots hold no such escape
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, non-ASCII bytes, oversized ints, lone surrogates
+        raise SnapshotError(f"{path}: snapshot payload does not decode: {exc}") from None
+    if end != len(text):
+        raise SnapshotError(f"{path}: trailing bytes after snapshot payload")
+    return payload
+
+
+def load_snapshot(path) -> KnowledgeGraph:
+    """Read a snapshot back into a graph; any defect raises SnapshotError."""
+    try:
+        # the file's text and decoded records are freed before build_graph runs
+        entities, relations, doc_count = _build_inputs(_read_payload(path), path)
         graph = build_graph(entities, relations, doc_count=doc_count)
     except GraphBuildError as exc:
         raise SnapshotError(f"{path}: inconsistent snapshot: {exc}") from None
-
-    # adjacency sections must mirror what the build derives
-    rel_ids = list(graph.relations)
-    for stored, derived in zip(stored_adj, (graph.out_adjacency, graph.in_adjacency)):
-        for eid, indices in zip(graph.entities, stored):
-            try:
-                stored_rids = tuple(rel_ids[i] for i in indices)
-            except IndexError:
-                raise SnapshotError(f"{path}: adjacency index out of range") from None
-            if stored_rids != derived[eid]:
-                raise SnapshotError(f"{path}: adjacency section does not match relations")
+    # build_graph sorts by id and merges repeated triples, so the records
+    # were unique and in id order exactly when its ids equal theirs
+    if (list(graph.entities) != [e.id for e in entities]
+            or list(graph.relations) != [r.id for r in relations]):
+        raise SnapshotError(
+            f"{path}: records are out of id order, or an id or triple repeats")
     return graph

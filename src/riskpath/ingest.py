@@ -105,6 +105,7 @@ def _triple_from_json(line_no: int, text: str) -> RawTriple:
         value = record[key]
         if not isinstance(value, str) or not value.strip():
             raise ValueError(f"field {key!r} must be a non-empty string")
+        value.encode("utf-8")  # a lone surrogate escape raises UnicodeEncodeError
         fields[key] = value.strip()
     phases = frozenset()
     if "phases" in record and record["phases"] is not None:
@@ -334,8 +335,10 @@ def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
             if not isinstance(name, str) or not name.strip():
                 raise ValueError("field 'name' must be a non-empty string")
             aliases = record.get("aliases", [])
-            if not isinstance(aliases, list):
-                raise ValueError("field 'aliases' must be an array")
+            if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+                raise ValueError("field 'aliases' must be an array of strings")
+            for text in (name, *aliases):
+                text.encode("utf-8")  # a lone surrogate escape raises UnicodeEncodeError
             entries.append(EntityMeta(
                 name=name.strip(),
                 layer=Layer.from_string(record["layer"]),

@@ -45,7 +45,7 @@ from pathlib import Path
 from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import ConfigError, PipelineError, RiskPathError, TransientStageError
-from .graph import build_graph, load_snapshot, save_snapshot
+from .graph import SNAPSHOT_VERSION, build_graph, load_snapshot, save_snapshot
 from .ingest import (
     CorpusStats,
     aggregate,
@@ -54,7 +54,7 @@ from .ingest import (
     parse_entity_meta,
     parse_triples,
 )
-from .scoring import CentralityScores, ScoringConfig, pagerank
+from .scoring import CentralityScores, ScoringConfig, check_field_types, pagerank
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +99,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if isinstance(value, os.PathLike):
                 setattr(self, name, os.fspath(value))
+        check_field_types(self)
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -109,6 +110,8 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         data = dict(data)
         scoring = data.pop("scoring", {})
+        if not isinstance(scoring, dict):
+            raise ConfigError("pipeline config field 'scoring' must be an object")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -252,8 +255,10 @@ def _load_json_object(path, what: str) -> dict:
 def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -> str:
     scoring = config.scoring
     if stage == "ingest":
+        # the snapshot version makes a graph.rpkg of another format rerun ingest
         part = {"triples_format": config.triples_format, "strict": config.strict,
-                "malformed_tolerance": config.malformed_tolerance}
+                "malformed_tolerance": config.malformed_tolerance,
+                "snapshot_version": SNAPSHOT_VERSION}
         files = _hash_inputs({
             "triples": config.triples, "entities": config.entities,
             "aliases": config.aliases, "layer_lexicon": config.layer_lexicon,

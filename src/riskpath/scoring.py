@@ -18,7 +18,7 @@ uniform redistribution of dangling-node mass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -37,6 +37,24 @@ FREQ_DOCS = "docs"
 FREQ_ENTITIES = "entities"
 
 WEIGHT_SUM_TOLERANCE = 1e-12
+
+# annotation -> accepted value types; an int is a valid float, a bool is no number
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError naming the first dataclass field whose value does not
+    match its ``int``/``float``/``str``/``bool`` annotation, read as a string
+    (``| None`` admits None); fields of other types keep their own checks."""
+    for f in fields(config):
+        base, _, optional = f.type.partition(" | ")
+        allowed = _FIELD_TYPES.get(base)
+        value = getattr(config, f.name)
+        if allowed is None or (optional == "None" and value is None):
+            continue
+        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+            raise ConfigError(f"{type(config).__name__} field {f.name!r} must be "
+                              f"{f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +82,7 @@ class ScoringConfig:
     pr_max_iters: int = 200
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigError("alpha, beta, gamma must be non-negative")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > WEIGHT_SUM_TOLERANCE:

@@ -223,6 +223,12 @@ class TestDiscoverCommand:
         assert code == 0
         assert payload == expected
 
+    def test_corrupt_snapshot_exit_one(self, workdir, capsys):
+        path = workdir / "graph.rpkg"
+        path.write_bytes(path.read_bytes()[:-1])
+        assert main(["discover", str(workdir)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_artifacts_exit_one_with_hint(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -291,6 +297,24 @@ class TestExportCommand:
         assert out.count("->") == n_edges
 
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        '{"pathways": {}}',
+        '{"pathways": [5]}',
+        '{"pathways": [{"predicates": []}]}',
+        '{"pathways": [{"entities": [], "predicates": "causes"}]}',
+        '{"pathways": [{"entities": [1, 2], "predicates": ["causes"]}]}',
+    ], ids=["unparsable", "top-level-list", "pathways-object", "row-not-object",
+            "no-entities", "predicates-string", "entities-non-string"])
+    def test_bad_pathways_file_exit_one(self, workdir, tmp_path, capsys, text):
+        pathways = tmp_path / "bad_paths.json"
+        pathways.write_text(text)
+        code = main(["export", str(workdir), "--pathways", str(pathways)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestSyngenCommand:
     def test_generates_corpus(self, tmp_path, capsys):
         code, manifest = run_json(capsys, [
@@ -322,6 +346,28 @@ class TestPipelineCommand:
             "pipeline", "resume", "--workdir", str(wd), "--format", "json"])
         assert code == 0
         assert summary["executed"] == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "x"), ("d_max", 5.0), ("top_k", True), ("fmax_mode", 1),
+        ("workers", "two"), ("strict", 1), ("malformed_tolerance", False),
+        ("prune", "yes"), ("aliases", 3), ("scoring", [])],
+        ids=lambda v: repr(v))
+    def test_ill_typed_config_exit_one_before_any_stage(self, tmp_path, corpus_dir,
+                                                        capsys, field, value):
+        config = {"triples": str(corpus_dir / "triples.jsonl"),
+                  "entities": str(corpus_dir / "entities.jsonl")}
+        if field in ScoringConfig.__dataclass_fields__:
+            config["scoring"] = {field: value}
+        else:
+            config[field] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        wd = tmp_path / "wd"
+        code = main(["pipeline", "run", "--config", str(config_path),
+                     "--workdir", str(wd)])
+        assert code == 1
+        assert repr(field) in capsys.readouterr().err
+        assert not (wd / "graph.rpkg").exists()
 
     def test_run_without_config_usage_error(self, tmp_path):
         assert main(["pipeline", "run", "--workdir", str(tmp_path)]) == 2

@@ -1,11 +1,16 @@
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from riskpath import (
     CorpusStats,
     Entity,
     GraphBuildError,
+    KnowledgeGraph,
     Layer,
     Phase,
     Relation,
@@ -254,6 +259,155 @@ class TestSnapshot:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError):
             load_snapshot(tmp_path / "absent.rpkg")
+
+
+def _fuzz_snapshot_bytes() -> bytes:
+    graph, _ = random_graph(random.Random(30), 30, 60, phase_prob=0.3)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_snapshot(graph, Path(tmp) / "g.rpkg")
+        return (Path(tmp) / "g.rpkg").read_bytes()
+
+
+_FUZZ_SNAPSHOT = _fuzz_snapshot_bytes()
+
+
+def _swap_first_two(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _repeat_triple(payload):
+    row = list(payload["relations"][-1])
+    row[0] += "z"
+    payload["relations"].append(row)
+
+
+def _set(section, field, value):
+    def edit(payload):
+        payload[section][0][field] = value
+    return edit
+
+
+class TestSnapshotV2:
+    def test_layout_is_header_then_compact_json(self, tmp_path):
+        graph = build_graph(
+            [Entity("a", "\u00c4 name", Layer.PHYSICAL, 0.25, frozenset({"z", "b"})),
+             make_entity("b", Layer.ECONOMIC, 1.0)],
+            [rel("r1", "a", "b", docs=("d2", "d1"),
+                 phases=(Phase.CHRONIC, Phase.ACUTE))],
+            doc_count=3)
+        path = tmp_path / "g.rpkg"
+        save_snapshot(graph, path)
+        payload = {
+            "doc_count": 3,
+            "entities": [["a", "\u00c4 name", "physical", 0.25, ["b", "z"]],
+                         ["b", "b", "economic", 1.0, []]],
+            "relations": [["r1", "a", "links", "b", ["d1", "d2"], ["acute", "chronic"]]],
+        }
+        assert path.read_bytes() == b"RPKG\x00\x02" + json.dumps(
+            payload, separators=(",", ":")).encode("ascii")
+        assert load_snapshot(path) == graph
+
+    def test_bytes_equal_one_json_dumps_across_write_chunks(self, tmp_path):
+        graph, _ = random_graph(random.Random(8), 1100, 2100, phase_prob=0.3)
+        path = tmp_path / "g.rpkg"
+        save_snapshot(graph, path)
+        payload = {
+            "doc_count": graph.doc_count,
+            "entities": [[e.id, e.canonical_name, e.layer.value, e.severity,
+                          sorted(e.aliases)] for e in graph.entities.values()],
+            "relations": [[r.id, r.source, r.predicate, r.target, sorted(r.doc_ids),
+                           [p.value for p in Phase if p in r.phases]]
+                          for r in graph.relations.values()],
+        }
+        assert path.read_bytes() == b"RPKG\x00\x02" + json.dumps(
+            payload, separators=(",", ":")).encode("ascii")
+
+    def test_surrogate_pair_and_escaped_backslash_round_trip(self, tmp_path):
+        # saved as the escape pair \ud83c\udf0a and as \\ud800: no lone surrogate
+        graph = build_graph([make_entity("\U0001f30a flood", Layer.PHYSICAL),
+                             make_entity("\\ud800", Layer.SOCIAL)], [])
+        path = tmp_path / "g.rpkg"
+        save_snapshot(graph, path)
+        assert load_snapshot(path) == graph
+
+    def test_old_version_asks_to_rerun_ingest(self, tmp_path):
+        path = tmp_path / "g.rpkg"
+        path.write_bytes(_FUZZ_SNAPSHOT[:5] + b"\x01" + _FUZZ_SNAPSHOT[6:])
+        with pytest.raises(SnapshotError, match="re-run 'riskpath ingest'"):
+            load_snapshot(path)
+
+    @given(cut=st.integers(0, len(_FUZZ_SNAPSHOT)),
+           flips=st.lists(st.tuples(st.integers(0, len(_FUZZ_SNAPSHOT) - 1),
+                                    st.integers(1, 255)), max_size=4))
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_snapshot_loads_or_raises_snapshot_error(self, tmp_path, cut, flips):
+        data = bytearray(_FUZZ_SNAPSHOT)
+        for pos, mask in flips:
+            data[pos] ^= mask
+        path = tmp_path / "fuzz.rpkg"
+        path.write_bytes(bytes(data[:cut]))
+        try:
+            graph = load_snapshot(path)
+        except SnapshotError:
+            return
+        assert isinstance(graph, KnowledgeGraph)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: _swap_first_two(p["entities"]),
+        lambda p: _swap_first_two(p["relations"]),
+        lambda p: p["relations"].append(p["relations"][-1]),
+        _repeat_triple,
+        _set("entities", 0, 7),
+        _set("entities", 2, "orbital"),
+        _set("entities", 3, 1),
+        _set("entities", 3, float("nan")),
+        _set("entities", 3, 1.5),
+        _set("entities", 4, [None]),
+        _set("entities", 1, "\ud800 heat"),
+        _set("relations", 2, ""),
+        _set("relations", 3, "nowhere"),
+        _set("relations", 4, []),
+        _set("relations", 4, ["d1", 2]),
+        _set("relations", 5, ["later"]),
+        _set("relations", 5, [["acute"]]),
+        lambda p: p["relations"][0].pop(),
+        lambda p: p.update(doc_count="5"),
+        lambda p: p.update(doc_count=True),
+        lambda p: p.update(doc_count=-1),
+        lambda p: p.update(extra=1),
+        lambda p: p.pop("entities"),
+        lambda p: p.update(entities=p.pop("entities")),
+    ], ids=["entities-out-of-order", "relations-out-of-order", "repeated-id",
+            "repeated-triple", "int-id", "unknown-layer", "int-severity",
+            "nan-severity", "severity-out-of-range", "non-string-alias",
+            "lone-surrogate", "empty-predicate", "dangling-target", "no-docs",
+            "non-string-doc", "unknown-phase", "unhashable-phase", "short-row",
+            "string-doc-count", "bool-doc-count", "negative-doc-count",
+            "extra-key", "missing-key", "keys-reordered"])
+    def test_ill_formed_payload_rejected(self, tmp_path, edit):
+        payload = json.loads(_FUZZ_SNAPSHOT[6:])
+        edit(payload)
+        path = tmp_path / "g.rpkg"
+        path.write_bytes(_FUZZ_SNAPSHOT[:6] + json.dumps(
+            payload, separators=(",", ":")).encode("ascii"))
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("payload", [
+        b"[" * 200_000,
+        b"{" * 200_000,
+        b'{"doc_count":' + b"1" * 5000 + b',"entities":[],"relations":[]}',
+        b'{"doc_count":0,"entities":[],"relations":[]} ',
+        b'\xc3\x84',
+        b"",
+    ], ids=["deep-array", "deep-object", "huge-int", "trailing-space",
+            "non-ascii", "empty"])
+    def test_ill_formed_json_rejected(self, tmp_path, payload):
+        path = tmp_path / "g.rpkg"
+        path.write_bytes(_FUZZ_SNAPSHOT[:6] + payload)
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
 
 
 class TestCorpusStats:

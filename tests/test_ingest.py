@@ -79,6 +79,14 @@ class TestParseTriples:
             {"s": "  ", "p": "b", "o": "c", "doc": "d"}), malformed_tolerance=1.0)
         assert errors[0]["line"] == 1
 
+    def test_lone_surrogate_is_malformed(self):
+        triples, errors = parse_triples(io.StringIO(
+            '{"s": "\\ud800 heat", "p": "b", "o": "c", "doc": "d"}\n'
+            '{"s": "a", "p": "b", "o": "c", "doc": "d"}\n'), malformed_tolerance=0.5)
+        assert len(triples) == 1
+        assert [e["line"] for e in errors] == [1]
+        assert "surrogates not allowed" in errors[0]["reason"]
+
     def test_tsv_format(self):
         stream = io.StringIO(
             "heatwave\tincreases\twater demand\td1\n"
@@ -240,6 +248,16 @@ class TestEntityMetaParsing:
     def test_bad_layer(self):
         with pytest.raises(IngestError, match="line 1"):
             parse_entity_meta(jsonl({"name": "x", "layer": "nope", "severity": 0.5}))
+
+    @pytest.mark.parametrize("line", [
+        '{"name": "heat \\udc00", "layer": "physical", "severity": 0.5}',
+        '{"name": "heat", "layer": "physical", "severity": 0.5, "aliases": ["\\ud800"]}',
+        '{"name": "heat", "layer": "physical", "severity": 0.5, "aliases": [3]}',
+    ], ids=["surrogate-name", "surrogate-alias", "non-string-alias"])
+    def test_bad_name_or_alias_names_line(self, line):
+        with pytest.raises(IngestError, match="line 2"):
+            parse_entity_meta(io.StringIO(
+                '{"name": "x", "layer": "social", "severity": 0.5}\n' + line + "\n"))
 
     def test_severity_out_of_range(self):
         with pytest.raises((IngestError, ConfigError)):

@@ -19,6 +19,7 @@ from riskpath import (
     generate,
     load_snapshot,
 )
+import riskpath.graph as graph_module
 import riskpath.pipeline as pipeline
 from riskpath.pipeline import (
     PipelineConfig,
@@ -167,6 +168,20 @@ class TestRun:
         assert (workdir / "pathways.json").read_bytes() == before
         rewritten = json.loads((workdir / "manifest.json").read_text())
         assert [r["stage_name"] for r in rewritten] == list(pipeline.STAGE_ORDER)
+
+    def test_snapshot_of_another_version_reruns_ingest(self, tmp_path, monkeypatch):
+        # a workdir written by a release with another snapshot format
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        old = graph_module.SNAPSHOT_VERSION - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "SNAPSHOT_VERSION", old)
+            patch.setattr(pipeline, "SNAPSHOT_VERSION", old)
+            run(config, workdir)
+        changed = make_config(tmp_path, scoring=ScoringConfig(theta_novelty=0.55))
+        summary = run(changed, workdir)
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        load_snapshot(workdir / "graph.rpkg")
 
     def test_leftover_corpus_stats_is_never_read(self, tmp_path):
         config = make_config(tmp_path)
