@@ -8,12 +8,13 @@ exhaustive re-implementation (recursive DFS over the public graph API, no
 pruning, no parallelism) kept as the correctness reference: on any graph
 small enough to enumerate, ``discover`` must produce the identical result.
 
-Parallelism fans out across source nodes only; each worker owns its frontier
-and candidate buffer and results are merged in source order, so output is
-independent of worker count. Pruning (edge-max mode only) uses an admissible
-upper bound on any extension's total and therefore never changes the
-returned pathways; it can only reduce ``candidates_enumerated``, which is a
-diagnostic counter.
+F_max is fixed before traversal in both modes, so each source scores every
+candidate once as it is found and keeps only its ``top_k`` records.
+Parallelism fans out across source nodes only, and the merged records are
+ranked by one total order, so output is independent of worker count.
+Pruning (edge-max mode only) uses an admissible upper bound on any
+extension's total and therefore never changes the returned pathways; it can
+only reduce ``candidates_enumerated``, which is a diagnostic counter.
 """
 
 from __future__ import annotations
@@ -218,10 +219,15 @@ def upper_bound_prune(state: TraversalState, config: ScoringConfig,
 
 
 class _GraphIndex:
-    """Dense integer view of the graph for the traversal hot loop."""
+    """Dense integer view of the graph for the traversal hot loop.
 
-    def __init__(self, graph: KnowledgeGraph, centrality: CentralityScores,
-                 freq_mode: str, undirected: bool):
+    Adjacency entries are ``(target, relation, step_docs)``: a hop keeps the
+    pathway's docs that are in ``step_docs``, the relation's docs or, in
+    ``entities`` mode, the target's. ``start_docs`` is None in ``docs`` mode.
+    """
+
+    def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
+                 centrality: CentralityScores, freq_mode: str, undirected: bool):
         self.entity_ids = list(graph.entities)
         index = {eid: i for i, eid in enumerate(self.entity_ids)}
         self.layer = [graph.entities[eid].layer.rank for eid in self.entity_ids]
@@ -232,74 +238,84 @@ class _GraphIndex:
             raise DiscoveryError(f"centrality missing entity {exc}") from None
         self.relation_ids = list(graph.relations)
         rel_index = {rid: i for i, rid in enumerate(self.relation_ids)}
-        self.adjacency: list[list[tuple[int, int]]] = []
-        for eid in self.entity_ids:
-            pairs = graph.out_neighbors(eid, undirected=undirected)
-            self.adjacency.append([(index[other], rel_index[rid])
-                                   for rid, other in pairs])
+        by_entity = entity_doc_index(graph) if freq_mode == FREQ_ENTITIES else None
+        self.start_docs = [None if by_entity is None else by_entity[eid]
+                           for eid in self.entity_ids]
+        edge_docs = corpus_stats.edge_doc_index
+        try:
+            self.adjacency = [
+                [(index[other], rel_index[rid],
+                  edge_docs[rid] if by_entity is None else by_entity[other])
+                 for rid, other in graph.out_neighbors(eid, undirected=undirected)]
+                for eid in self.entity_ids]
+        except KeyError as exc:
+            raise DiscoveryError(f"corpus stats missing relation {exc}") from None
         self.sources = [index[eid] for eid in self.entity_ids
                         if graph.entities[eid].layer is Layer.PHYSICAL]
-        self.entity_docs: list[frozenset[str]] | None = None
-        if freq_mode == FREQ_ENTITIES:
-            by_id = entity_doc_index(graph)
-            self.entity_docs = [by_id[eid] for eid in self.entity_ids]
 
 
-def _relation_doc_sets(index: _GraphIndex, corpus_stats: CorpusStats) -> list[frozenset[str]]:
-    try:
-        return [corpus_stats.edge_doc_index[rid] for rid in index.relation_ids]
-    except KeyError as exc:
-        raise DiscoveryError(f"corpus stats missing relation {exc}") from None
+def _pathway_f_max(index: _GraphIndex, d_max: int) -> int:
+    """F_max for pathway-max mode, found before the scoring traversal.
+
+    Extending a pathway never removes a layer transition and can only shrink
+    its doc set, so the largest f is reached on a shortest prefix that
+    crosses layers twice; the search stops there, and skips any prefix whose
+    doc count cannot beat the best found so far.
+    """
+    layer, adjacency = index.layer, index.adjacency
+    best = 0
+    for source in index.sources:
+        stack = [((source,), 0, index.start_docs[source])]
+        while stack:
+            path, transitions, docs = stack.pop()
+            last_layer = layer[path[-1]]
+            for target, _, step in adjacency[path[-1]]:
+                if target in path:
+                    continue
+                new_docs = step if docs is None else docs & step
+                if len(new_docs) <= best:
+                    continue
+                new_transitions = transitions + (layer[target] != last_layer)
+                if new_transitions >= 2:
+                    best = len(new_docs)
+                elif len(path) < d_max:
+                    stack.append((path + (target,), new_transitions, new_docs))
+    return best
 
 
-def _source_candidates(source: int, index: _GraphIndex, rel_docs, config: ScoringConfig,
-                       f_max: int | None, prune: bool, max_impact: float,
+def _source_candidates(source: int, index: _GraphIndex, config: ScoringConfig,
+                       f_max: int, prune: bool, max_impact: float,
                        ) -> tuple[list, int]:
-    """Enumerate candidates from one source. Returns (records, candidate count).
+    """Enumerate and score the candidates from one source.
 
-    Records are (entity idx tuple, relation idx tuple, f, clc, ip); when
-    ``f_max`` is known (edge-max) they are pre-filtered by the threshold,
-    otherwise every candidate is kept for the second scoring pass. The prune
-    bound is inlined here; it must stay in lockstep with
-    :func:`_extension_bound`.
+    Returns (the source's ``top_k`` records, candidate count). A record is
+    ``(-total, entity count, entity idx tuple, relation idx tuple, f, lf,
+    clc, ip)``; entity and relation indexes follow sorted ids, so records
+    sort in :func:`rank_top_k`'s order.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta = config.theta_novelty
     d_max = config.d_max
-    adjacency = index.adjacency
-    layer = index.layer
-    sevcent = index.sevcent
-    entity_docs = index.entity_docs
-    by_entity = entity_docs is not None
-    lf_known = f_max is not None
+    adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
 
     records = []
     append_record = records.append
     count = 0
-    start_docs = entity_docs[source] if by_entity else None
     queue = deque()
     push = queue.append
     pop = queue.popleft
-    push(((source,), (), 0, 0.0 + sevcent[source], start_docs))
+    push(((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source]))
     while queue:
         path, rels, transitions, impact_sum, docs = pop()
         depth = len(rels)
-        last = path[-1]
-        last_layer = layer[last]
+        last_layer = layer[path[-1]]
         deeper = depth + 1 < d_max
-        for target, rid in adjacency[last]:
+        for target, rid, step in adjacency[path[-1]]:
             if target in path:
                 continue
             new_transitions = transitions + (layer[target] != last_layer)
             new_impact = impact_sum + sevcent[target]
-            if by_entity:
-                new_docs = docs & entity_docs[target] if docs else docs
-            elif docs is None:
-                new_docs = rel_docs[rid]
-            elif docs:
-                new_docs = docs & rel_docs[rid]
-            else:
-                new_docs = docs
+            new_docs = step if docs is None else docs & step
             new_path = path + (target,)
             new_rels = rels + (rid,)
             n = depth + 2  # entities in the extended path
@@ -308,25 +324,18 @@ def _source_candidates(source: int, index: _GraphIndex, rel_docs, config: Scorin
                 f = len(new_docs)
                 clc = new_transitions / (n - 1)
                 ip = new_impact / n
-                if not lf_known:
-                    append_record((new_path, new_rels, f, clc, ip))
-                else:
-                    # expression kept identical to literature_frequency/combine
-                    lf = 1.0 if f_max == 0 else 1.0 - f / f_max
-                    if alpha * lf + beta * clc + gamma * ip > theta:
-                        append_record((new_path, new_rels, f, clc, ip))
+                # expression kept identical to literature_frequency/combine
+                lf = 1.0 if f_max == 0 else 1.0 - f / f_max
+                total = alpha * lf + beta * clc + gamma * ip
+                if total > theta:
+                    append_record((-total, n, new_path, new_rels, f, lf, clc, ip))
             if deeper:
-                if prune:
-                    k_max = d_max - n + 1
-                    clc_bound = (new_transitions + k_max) / (n - 1 + k_max)
-                    ip_one = (new_impact + max_impact) / (n + 1)
-                    ip_all = (new_impact + k_max * max_impact) / (n + k_max)
-                    ip_bound = ip_one if ip_one > ip_all else ip_all
-                    if alpha + beta * clc_bound + gamma * ip_bound <= theta:
-                        continue
+                if prune and _extension_bound(n, new_transitions, new_impact,
+                                              config, max_impact) <= theta:
+                    continue
                 push((new_path, new_rels, new_transitions,
                       new_impact, new_docs))
-    return records, count
+    return heapq.nsmallest(config.top_k, records), count
 
 
 def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -336,70 +345,40 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     """Run the full constrained-BFS discovery and return ranked pathways.
 
     ``prune`` defaults to on in edge-max mode and is ignored in pathway-max
-    mode (the bound is only admissible when F_max is fixed up front).
+    mode, whose ``candidates_enumerated`` counts every candidate.
     ``workers`` sets the source-level thread fan-out; any value yields
     byte-identical results.
     """
-    index = _GraphIndex(graph, centrality, config.freq_mode, undirected)
-    rel_docs = _relation_doc_sets(index, corpus_stats)
+    index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
     sources = index.sources
-
-    pathway_mode = config.fmax_mode == FMAX_PATHWAY
-    if pathway_mode:
-        f_max: int | None = None
+    if config.fmax_mode == FMAX_PATHWAY:
+        f_max = _pathway_f_max(index, config.d_max)
         prune = False
     else:
         f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode)
-        if prune is None:
-            prune = True
+        prune = prune is None or bool(prune)
     max_impact = max(index.sevcent, default=0.0)
 
-    def run_chunk(chunk: Sequence[int]) -> tuple[list, int]:
-        chunk_records = []
-        chunk_count = 0
-        for source in chunk:
-            records, count = _source_candidates(
-                source, index, rel_docs, config, f_max, bool(prune), max_impact)
-            chunk_records.extend(records)
-            chunk_count += count
-        return chunk_records, chunk_count
+    def run_chunk(chunk: Sequence[int]) -> list[tuple[list, int]]:
+        return [_source_candidates(source, index, config, f_max, prune, max_impact)
+                for source in chunk]
 
     workers = max(1, int(workers))
     if workers == 1 or len(sources) <= 1:
-        all_records, candidate_count = run_chunk(sources)
+        results = run_chunk(sources)
     else:
         chunk_size = max(1, -(-len(sources) // (workers * 4)))
         chunks = [sources[i:i + chunk_size]
                   for i in range(0, len(sources), chunk_size)]
-        all_records = []
-        candidate_count = 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for records, count in pool.map(run_chunk, chunks):
-                all_records.extend(records)
-                candidate_count += count
+            results = [result for chunk_results in pool.map(run_chunk, chunks)
+                       for result in chunk_results]
+    top = heapq.nsmallest(config.top_k,
+                          (record for records, _ in results for record in records))
 
-    if pathway_mode:
-        f_max = max((rec[2] for rec in all_records), default=0)
-
-    # Rank on integer tuples: entity/relation indexes are assigned in sorted
-    # id order, so comparing index sequences is exactly the lexicographic
-    # id-sequence order rank_top_k uses. Only the k winners are materialized.
-    alpha, beta, gamma = config.alpha, config.beta, config.gamma
-    theta = config.theta_novelty
-    survivors = []
-    append_survivor = survivors.append
-    for path, rels, f, clc, ip in all_records:
-        lf = 1.0 if f_max == 0 else 1.0 - f / f_max
-        total = alpha * lf + beta * clc + gamma * ip
-        if total > theta:
-            append_survivor((-total, len(path), path, rels, f, lf, clc, ip))
-    top = heapq.nsmallest(config.top_k, survivors)
-
-    entity_ids = index.entity_ids
-    relation_ids = index.relation_ids
     ranked = [
-        (Pathway(tuple(entity_ids[i] for i in path),
-                 tuple(relation_ids[i] for i in rels)),
+        (Pathway(tuple(index.entity_ids[i] for i in path),
+                 tuple(index.relation_ids[i] for i in rels)),
          novelty_score(f, lf, clc, ip, config))
         for _, _, path, rels, f, lf, clc, ip in top
     ]
@@ -407,7 +386,7 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
         pathways=ranked,
         config_echo=config,
         f_max_used=f_max,
-        candidates_enumerated=candidate_count,
+        candidates_enumerated=sum(count for _, count in results),
         sources_processed=len(sources),
     )
 

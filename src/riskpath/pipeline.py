@@ -44,7 +44,8 @@ from pathlib import Path
 
 from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
-from .errors import ConfigError, PipelineError, RiskPathError, TransientStageError
+from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
+                     TransientStageError)
 from .graph import SNAPSHOT_VERSION, build_graph, load_snapshot, save_snapshot
 from .ingest import (
     CorpusStats,
@@ -297,17 +298,24 @@ def _string_map(path, what: str) -> dict[str, str]:
     return data
 
 
+def _parse_text_file(path, parse, *args):
+    """``parse`` the lines of a UTF-8 file; other bytes are an IngestError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh, *args)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def ingest(config: PipelineConfig, workdir: Path) -> dict:
     """Parse, canonicalize and aggregate the input files into ``graph.rpkg``.
 
     Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
     every file is written atomically. Returns counts for a summary line.
     """
-    with open(config.triples, "r", encoding="utf-8") as fh:
-        triples, parse_errors = parse_triples(
-            fh, config.triples_format, config.malformed_tolerance)
-    with open(config.entities, "r", encoding="utf-8") as fh:
-        meta = parse_entity_meta(fh)
+    triples, parse_errors = _parse_text_file(
+        config.triples, parse_triples, config.triples_format, config.malformed_tolerance)
+    meta = _parse_text_file(config.entities, parse_entity_meta)
     extra_aliases = (_string_map(config.aliases, "alias file")
                      if config.aliases else None)
     lexicon = (load_layer_lexicon(_string_map(config.layer_lexicon, "layer lexicon"))
@@ -522,5 +530,5 @@ def resume(workdir) -> PipelineSummary:
     config_path = workdir / CONFIG_NAME
     if not config_path.exists():
         raise PipelineError(f"nothing to resume: {config_path} does not exist")
-    config = PipelineConfig.from_dict(_load_json(config_path))
+    config = PipelineConfig.from_json_file(config_path)
     return run(config, workdir)

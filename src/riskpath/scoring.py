@@ -18,6 +18,7 @@ uniform redistribution of dangling-node mass.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, asdict, fields, replace
 from typing import TYPE_CHECKING, Mapping
 
@@ -30,6 +31,8 @@ from .ingest import CorpusStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discovery import Pathway
+
+logger = logging.getLogger(__name__)
 
 FMAX_PATHWAY = "pathway-max"
 FMAX_EDGE = "edge-max"
@@ -62,11 +65,11 @@ class ScoringConfig:
     """Weights, thresholds, and traversal/centrality parameters.
 
     ``fmax_mode`` picks the LF normalizer: ``pathway-max`` takes the maximum
-    co-attestation frequency over all discovered candidates (two-pass),
-    ``edge-max`` the maximum single-edge document frequency (a valid upper
-    bound on any pathway frequency, enabling single-pass scoring and
-    pruning). ``freq_mode`` counts documents attesting every relation of the
-    pathway (``docs``) or every entity (``entities``).
+    co-attestation frequency over all discovered candidates, ``edge-max``
+    the maximum single-edge document frequency (a valid upper bound on any
+    pathway frequency, enabling pruning). ``freq_mode`` counts documents
+    attesting every relation of the pathway (``docs``) or every entity
+    (``entities``).
     """
 
     alpha: float = 0.5
@@ -183,7 +186,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     Each relation is one out-link; parallel edges between the same pair each
     carry transition mass. Dangling-node mass is redistributed uniformly.
     Iteration stops when the L1 change falls below ``pr_tolerance`` or after
-    ``pr_max_iters`` iterations (``converged`` reports which).
+    ``pr_max_iters`` iterations (``converged`` reports which, and a warning
+    is logged when it is False).
     """
     n = len(graph.entities)
     if n == 0:
@@ -216,6 +220,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
         if delta < config.pr_tolerance:
             converged = True
             break
+    else:
+        logger.warning("pagerank did not converge in %d iterations", iterations)
 
     peak = rank.max()
     scores = {eid: float(rank[i]) for i, eid in enumerate(ids)}

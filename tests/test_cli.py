@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -108,6 +109,19 @@ class TestIngestCommand:
         assert code == 0
         assert payload["parse_errors"] == 0
 
+    @pytest.mark.parametrize("which", ["triples", "entities"])
+    def test_non_utf8_input_exit_one(self, tmp_path, corpus_dir, capsys, which):
+        paths = {name: corpus_dir / f"{name}.jsonl" for name in ("triples", "entities")}
+        bad = tmp_path / f"{which}.jsonl"
+        bad.write_bytes(paths[which].read_bytes() + b'{"s": "\xff"}\n')
+        paths[which] = bad
+        wd = tmp_path / "w"
+        code = main(["ingest", "--triples", str(paths["triples"]),
+                     "--entities", str(paths["entities"]), "--out", str(wd)])
+        assert code == 1
+        assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
+        assert not (wd / "graph.rpkg").exists()
+
 
 class TestStatsCommand:
     def test_matches_library(self, workdir, capsys):
@@ -153,6 +167,13 @@ class TestDiscoverCommand:
         expected = discover(graph, stats, centrality, config).to_json_dict(graph)
         assert payload == expected
         assert json.loads((workdir / "pathways.json").read_text()) == expected
+
+    def test_unconverged_pagerank_warns_once(self, workdir, caplog):
+        assert not (workdir / "pagerank.json").exists()
+        assert main(["discover", str(workdir), "--pr-max-iters", "1"]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING] == [
+            "pagerank did not converge in 1 iterations"]
 
     def test_theta_one_empty_exit_zero(self, workdir, capsys):
         code, payload = run_json(capsys, [
@@ -368,6 +389,17 @@ class TestPipelineCommand:
         assert code == 1
         assert repr(field) in capsys.readouterr().err
         assert not (wd / "graph.rpkg").exists()
+
+    @pytest.mark.parametrize("text", ["[]", '{"entities": "e.jsonl"}', "{bad"],
+                             ids=["list", "no-triples", "unparsable"])
+    def test_resume_bad_config_exit_one(self, tmp_path, capsys, text):
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        (wd / "manifest.json").write_text("{}")
+        (wd / "config.json").write_text(text)
+        code = main(["pipeline", "resume", "--workdir", str(wd)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_without_config_usage_error(self, tmp_path):
         assert main(["pipeline", "run", "--workdir", str(tmp_path)]) == 2

@@ -93,6 +93,19 @@ class TestDiscoverBasics:
         assert abs(breakdown.ip - ip) < 1e-8
         assert abs(breakdown.total - (0.3 + 0.2 * ip)) < 1e-8
 
+    def test_pathway_max_f_max_needs_every_hop(self):
+        # the only candidate is P -> S -> S -> E, so F_max takes all three hops
+        graph, stats = chain_graph([Layer.PHYSICAL, Layer.SOCIAL, Layer.SOCIAL,
+                                    Layer.ECONOMIC])
+        cent = pagerank(graph, DEFAULTS)
+        for d_max, f_max in ((2, 0), (3, 1)):
+            for freq_mode in ("docs", "entities"):
+                config = DEFAULTS.override(theta_novelty=0.0, d_max=d_max,
+                                           freq_mode=freq_mode)
+                got = discover(graph, stats, cent, config)
+                assert got.f_max_used == f_max
+                assert results_equal(got, enumerate_oracle(graph, stats, cent, config))
+
     def test_empty_graph(self):
         graph = build_graph([], [])
         stats = CorpusStats.from_graph(graph)
@@ -209,27 +222,36 @@ class TestPruning:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs_all_modes(self, seed):
         rng = random.Random(4000 + seed)
-        graph, stats = random_graph(rng, rng.randint(20, 70),
-                                    rng.randint(40, 170))
+        if seed < 15:
+            graph, stats = random_graph(rng, rng.randint(20, 70),
+                                        rng.randint(40, 170))
+        else:
+            # tie-heavy: IP is 0 and f is 0 or 1, so many totals are equal
+            # and the tie-breaks decide which pathways make the top k
+            graph, stats = random_graph(rng, rng.randint(20, 50),
+                                        rng.randint(40, 120), n_docs=2,
+                                        max_docs_per_edge=1, severity=0.0)
         theta = rng.choice([0.0, 0.5, 0.7])
         d_max = rng.choice([3, 4, 5])
         for fmax_mode in ("pathway-max", "edge-max"):
-            config = ScoringConfig(theta_novelty=theta, d_max=d_max,
-                                   top_k=rng.choice([5, 10, 40]),
-                                   fmax_mode=fmax_mode)
-            cent = pagerank(graph, config)
-            oracle = enumerate_oracle(graph, stats, cent, config)
-            for workers in (1, 2, 8):
-                for prune in (False, True):
-                    got = discover(graph, stats, cent, config,
-                                   workers=workers, prune=prune)
-                    check_counter = not (prune and fmax_mode == "edge-max")
-                    assert results_equal(got, oracle, check_counter), (
-                        f"seed={seed} mode={fmax_mode} workers={workers} "
-                        f"prune={prune}")
+            for top_k in (rng.choice([5, 10, 40]), 1, 2):
+                for freq_mode in ("docs", "entities"):
+                    config = ScoringConfig(theta_novelty=theta, d_max=d_max,
+                                           top_k=top_k, fmax_mode=fmax_mode,
+                                           freq_mode=freq_mode)
+                    cent = pagerank(graph, config)
+                    oracle = enumerate_oracle(graph, stats, cent, config)
+                    for workers in (1, 2, 8):
+                        for prune in (False, True):
+                            got = discover(graph, stats, cent, config,
+                                           workers=workers, prune=prune)
+                            check_counter = not (prune and fmax_mode == "edge-max")
+                            assert results_equal(got, oracle, check_counter), (
+                                f"seed={seed} mode={fmax_mode} top_k={top_k} "
+                                f"freq={freq_mode} workers={workers} prune={prune}")
 
     def test_entity_freq_mode_matches_oracle(self):
         for seed in range(6):

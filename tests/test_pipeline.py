@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -205,6 +206,15 @@ class TestRun:
         assert summary.executed == list(pipeline.STAGE_ORDER)
         assert (PipelineConfig.from_json_file(tmp_path / "work" / "config.json")
                 == config)
+
+    def test_unconverged_pagerank_warns_once(self, tmp_path, caplog):
+        config = make_config(
+            tmp_path, scoring=ScoringConfig(theta_novelty=0.5, pr_max_iters=1))
+        with caplog.at_level(logging.WARNING, logger="riskpath"):
+            run(config, tmp_path / "work")
+        # only warnings are captured; ingest may also warn about unregistered names
+        assert [r.getMessage() for r in caplog.records if "pagerank" in r.getMessage()
+                ] == ["pagerank did not converge in 1 iterations"]
 
     def test_failure_recorded_in_manifest(self, tmp_path):
         config = make_config(tmp_path)

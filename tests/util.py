@@ -37,11 +37,16 @@ def chain_graph(layers, severities=None, docs=("d1",)) -> tuple[KnowledgeGraph, 
 
 def random_graph(rng: random.Random, n_entities: int, n_relations: int,
                  n_docs: int = 20, max_docs_per_edge: int = 3,
-                 phase_prob: float = 0.0) -> tuple[KnowledgeGraph, CorpusStats]:
-    """Random directed multigraph with random layers, severities, provenance."""
+                 phase_prob: float = 0.0, severity: float | None = None,
+                 ) -> tuple[KnowledgeGraph, CorpusStats]:
+    """Random directed multigraph with random layers, severities, provenance.
+
+    ``severity`` gives every entity that one severity instead of a random one.
+    """
     layers = list(Layer)
     entities = [
-        make_entity(f"n{i:04d}", rng.choice(layers), round(rng.random(), 6))
+        make_entity(f"n{i:04d}", rng.choice(layers),
+                    round(rng.random(), 6) if severity is None else severity)
         for i in range(n_entities)
     ]
     doc_pool = [f"d{i:03d}" for i in range(n_docs)]
