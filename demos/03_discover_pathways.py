@@ -44,8 +44,7 @@ config = ScoringConfig()  # stock defaults
 centrality = pagerank(graph, config)
 print(f"pagerank converged in {centrality.iterations_used} iterations")
 
-result = discover(graph, CorpusStats.from_graph(graph), centrality, config,
-                  workers=2)
+result = discover(graph, CorpusStats.from_graph(graph), centrality, config)
 print(f"\n{result.candidates_enumerated} candidates from "
       f"{result.sources_processed} physical-layer sources, "
       f"F_max={result.f_max_used}; top {len(result.pathways)}:\n")

@@ -20,7 +20,7 @@ riskpath stats "$WORK/graph"
 
 riskpath pagerank "$WORK/graph" --top 5
 
-riskpath discover "$WORK/graph" --theta 0.7 --workers 2 \
+riskpath discover "$WORK/graph" --theta 0.7 \
     --out "$WORK/graph/pathways.json"
 
 riskpath report layers "$WORK/graph"

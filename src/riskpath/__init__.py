@@ -43,11 +43,9 @@ from .scoring import (
 from .discovery import (
     DiscoveryResult,
     Pathway,
-    TraversalState,
     discover,
     enumerate_oracle,
     rank_top_k,
-    upper_bound_prune,
 )
 from .analysis import LayerDistribution, TemporalReport, layer_distribution, temporal_distribution
 from .syngen import GenSpec, PlantedChain, generate, write_corpus

@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="enumerate and rank cross-layer pathways")
     p.add_argument("workdir", nargs="?")
     _add_scoring_flags(p)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; has no effect "
+                        "(discovery runs on one thread)")
     prune = p.add_mutually_exclusive_group()
     prune.add_argument("--prune", dest="prune", action="store_true", default=None)
     prune.add_argument("--no-prune", dest="prune", action="store_false")
@@ -419,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["run", "resume"])
     p.add_argument("--config", help="pipeline config JSON (required for run)")
     p.add_argument("--workdir", help="working directory (default $RISKPATH_WORKDIR)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; has no effect "
+                        "(discovery runs on one thread)")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_pipeline)
 

@@ -5,31 +5,29 @@ edge length 1..d_max are enumerated breadth-first; those crossing layers at
 least twice are scored and the ones exceeding the novelty threshold are
 ranked deterministically. ``enumerate_oracle`` is a deliberately naive
 exhaustive re-implementation (recursive DFS over the public graph API, no
-pruning, no parallelism) kept as the correctness reference: on any graph
-small enough to enumerate, ``discover`` must produce the identical result.
+pruning) kept as the correctness reference: on any graph small enough to
+enumerate, ``discover`` must produce the identical result.
 
 F_max is fixed before traversal in both modes, so each source scores every
-candidate once as it is found and keeps only its ``top_k`` records.
-Parallelism fans out across source nodes only, and the merged records are
-ranked by one total order, so output is independent of worker count.
-Pruning (edge-max mode only) uses an admissible upper bound on any
-extension's total and therefore never changes the returned pathways; it can
-only reduce ``candidates_enumerated``, which is a diagnostic counter.
+candidate once as it is found and keeps only its ``top_k`` records; the
+merged records are ranked by one total order. Every source runs on the
+calling thread. Pruning (edge-max mode only) uses an admissible upper bound
+(``_extension_bound``) on any extension's total and therefore never changes
+the returned pathways; it can only reduce ``candidates_enumerated``, which is
+a diagnostic counter.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DiscoveryError
 from .graph import KnowledgeGraph, Layer
 from .ingest import CorpusStats
 from .scoring import (
-    FMAX_EDGE,
     FMAX_PATHWAY,
     FREQ_DOCS,
     FREQ_ENTITIES,
@@ -89,15 +87,6 @@ class Pathway:
             if not ok:
                 raise DiscoveryError(
                     f"relation {rid!r} does not connect {a!r} -> {b!r}")
-
-
-@dataclass(frozen=True)
-class TraversalState:
-    """Partial-pathway summary consulted by the pruning bound."""
-
-    num_entities: int
-    transitions: int
-    impact_sum: float
 
 
 @dataclass
@@ -201,29 +190,13 @@ def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
     return combine(1.0, clc_bound, max(ip_one, ip_all), config)
 
 
-def upper_bound_prune(state: TraversalState, config: ScoringConfig,
-                      max_impact: float) -> bool:
-    """True when no extension of the partial pathway can beat the threshold.
-
-    Only valid in edge-max mode, where F_max is fixed before traversal;
-    calling it in pathway-max mode is an error. ``max_impact`` is the
-    graph-wide maximum of normalized centrality times severity.
-    """
-    if config.fmax_mode != FMAX_EDGE:
-        raise DiscoveryError("pruning bound requires edge-max fmax_mode")
-    if state.num_entities - 1 >= config.d_max:
-        return False  # no extensions exist; nothing to prune
-    bound = _extension_bound(state.num_entities, state.transitions,
-                             state.impact_sum, config, max_impact)
-    return bound <= config.theta_novelty
-
-
 class _GraphIndex:
     """Dense integer view of the graph for the traversal hot loop.
 
     Adjacency entries are ``(target, relation, step_docs)``: a hop keeps the
     pathway's docs that are in ``step_docs``, the relation's docs or, in
-    ``entities`` mode, the target's. ``start_docs`` is None in ``docs`` mode.
+    ``entities`` mode, the target's. ``entity_docs`` (the entity doc index)
+    and each ``start_docs`` entry are None in ``docs`` mode.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -238,7 +211,8 @@ class _GraphIndex:
             raise DiscoveryError(f"centrality missing entity {exc}") from None
         self.relation_ids = list(graph.relations)
         rel_index = {rid: i for i, rid in enumerate(self.relation_ids)}
-        by_entity = entity_doc_index(graph) if freq_mode == FREQ_ENTITIES else None
+        by_entity = self.entity_docs = (
+            entity_doc_index(graph) if freq_mode == FREQ_ENTITIES else None)
         self.start_docs = [None if by_entity is None else by_entity[eid]
                            for eid in self.entity_ids]
         edge_docs = corpus_stats.edge_doc_index
@@ -346,8 +320,8 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
 
     ``prune`` defaults to on in edge-max mode and is ignored in pathway-max
     mode, whose ``candidates_enumerated`` counts every candidate.
-    ``workers`` sets the source-level thread fan-out; any value yields
-    byte-identical results.
+    ``workers`` is accepted for compatibility and has no effect: every
+    source runs on the calling thread.
     """
     index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
     sources = index.sources
@@ -355,24 +329,13 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
         f_max = _pathway_f_max(index, config.d_max)
         prune = False
     else:
-        f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode)
+        f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode,
+                                   index.entity_docs)
         prune = prune is None or bool(prune)
     max_impact = max(index.sevcent, default=0.0)
 
-    def run_chunk(chunk: Sequence[int]) -> list[tuple[list, int]]:
-        return [_source_candidates(source, index, config, f_max, prune, max_impact)
-                for source in chunk]
-
-    workers = max(1, int(workers))
-    if workers == 1 or len(sources) <= 1:
-        results = run_chunk(sources)
-    else:
-        chunk_size = max(1, -(-len(sources) // (workers * 4)))
-        chunks = [sources[i:i + chunk_size]
-                  for i in range(0, len(sources), chunk_size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [result for chunk_results in pool.map(run_chunk, chunks)
-                       for result in chunk_results]
+    results = [_source_candidates(source, index, config, f_max, prune, max_impact)
+               for source in sources]
     top = heapq.nsmallest(config.top_k,
                           (record for records, _ in results for record in records))
 
@@ -396,9 +359,9 @@ def enumerate_oracle(graph: KnowledgeGraph, corpus_stats: CorpusStats,
                      undirected: bool = False) -> DiscoveryResult:
     """Exhaustive DFS reference implementation over the public graph API.
 
-    No pruning, no parallelism, no shared traversal machinery with
-    ``discover``; scoring composes the public per-component operations. The
-    caller is responsible for keeping the graph small enough to enumerate.
+    No pruning and no shared traversal machinery with ``discover``; scoring
+    composes the public per-component operations. The caller is responsible
+    for keeping the graph small enough to enumerate.
     """
     entity_docs = None
     if config.freq_mode == FREQ_ENTITIES:

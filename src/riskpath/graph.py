@@ -3,7 +3,7 @@
 Entities live on one of three layers (physical / social / economic), relations
 are directed labeled edges carrying document provenance and optional temporal
 phase tags. The graph is built once from validated inputs and is read-only
-afterwards, which makes it safe to share across discovery workers.
+afterwards.
 
 Snapshot format (version 2)
 ---------------------------

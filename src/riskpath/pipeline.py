@@ -23,9 +23,10 @@ finishes with byte-identical final outputs.
 Transient failures (I/O) are retried with exponential backoff up to a retry
 limit; validation/config failures fail fast.
 
-A lock file (``pipeline.lock``, holding pid and start time) enforces one
-pipeline instance per working directory; stale locks from dead processes are
-taken over.
+An exclusive ``flock`` on ``pipeline.lock`` enforces one pipeline instance
+per working directory; the kernel releases it when the holder exits, so a
+lock file left by a killed process never blocks the next run. The file holds
+pid and start time for people to read and is removed when the run ends.
 
 Internal testing seam: the environment variable ``RISKPATH_TEST_CRASH`` set
 to ``"<point>:<stage>"`` (point in {before_record, after_record}) hard-exits
@@ -34,6 +35,8 @@ the process at that point, for crash-resume equivalence tests.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -72,6 +75,10 @@ STAGE_OUTPUTS = {
     "report": ("report_temporal.json", "report_layers.json", "report_pathways.txt"),
 }
 
+_CURRENT_OUTPUTS = frozenset(name for names in STAGE_OUTPUTS.values()
+                             for name in names)
+_NEVER_REMOVED = frozenset({CONFIG_NAME, MANIFEST_NAME, LOCK_NAME, "", ".", ".."})
+
 _CRASH_ENV = "RISKPATH_TEST_CRASH"
 
 
@@ -87,7 +94,7 @@ class PipelineConfig:
     strict: bool = False
     malformed_tolerance: float = 0.1
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; has no effect
     prune: bool | None = None
     undirected: bool = False
     temporal_by: str = "target"
@@ -404,49 +411,50 @@ def _outputs_valid(workdir: Path, record: StageRecord) -> bool:
     return True
 
 
-class _Lock:
-    def __init__(self, workdir: Path):
-        self.path = workdir / LOCK_NAME
-        self.acquired = False
+def _remove_stale_outputs(workdir: Path, record: StageRecord) -> None:
+    """Remove the files an old stage record lists that no current stage
+    writes (a workdir of an older stage layout). Only bare file names are
+    removed, never a path, ``..`` or one of the run's own files."""
+    for name in record.output_paths:
+        if (not isinstance(name, str) or name in _CURRENT_OUTPUTS
+                or name in _NEVER_REMOVED or os.path.basename(name) != name):
+            continue
+        with contextlib.suppress(OSError, ValueError):
+            (workdir / name).unlink()
+            logger.info("removed %s, which no current stage writes", name)
 
-    def acquire(self) -> None:
-        payload = json.dumps({"pid": os.getpid(), "started_at": time.time()})
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self._holder_alive():
-                raise PipelineError(
-                    f"another pipeline holds {self.path}; "
-                    f"remove the lock if that process is gone") from None
-            logger.warning("taking over stale lock %s", self.path)
-            self.path.write_text(payload, encoding="utf-8")
-            self.acquired = True
-            return
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        self.acquired = True
 
-    def _holder_alive(self) -> bool:
-        try:
-            holder = json.loads(self.path.read_text(encoding="utf-8"))
-            pid = int(holder["pid"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
+@contextlib.contextmanager
+def _pipeline_lock(workdir: Path):
+    """Hold an exclusive ``flock`` on ``pipeline.lock`` for one run.
 
-    def release(self) -> None:
-        if self.acquired:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-            self.acquired = False
+    The kernel drops the lock when its holder exits, however it exits, so a
+    lock file left by a dead process is simply locked again. The holder
+    unlinks the file before closing it; a process that locked a file that
+    was unlinked meanwhile sees it is no longer the file at the path and
+    retries. The file holds pid and start time for people to read.
+    """
+    path = workdir / LOCK_NAME
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise PipelineError(f"another pipeline holds the lock {path}") from None
+        with contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        os.close(fd)  # locked a file its holder has unlinked since; retry
+    try:
+        os.ftruncate(fd, 0)
+        os.write(fd, json.dumps({"pid": os.getpid(),
+                                 "started_at": time.time()}).encode("utf-8"))
+        yield
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.close(fd)
 
 
 def _maybe_crash(point: str, stage: str) -> None:
@@ -460,9 +468,7 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
     """Execute all stages in dependency order, skipping up-to-date ones."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    lock = _Lock(workdir)
-    lock.acquire()
-    try:
+    with _pipeline_lock(workdir):
         _atomic_write_json(workdir / CONFIG_NAME, config.to_dict())
         records = _load_manifest(workdir)
         executed: list[str] = []
@@ -479,9 +485,11 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
                 skipped.append(stage)
                 continue
             upstream_ran = True
-            if record is not None and record.status == "done":
-                logger.warning("stage %s or an upstream stage changed; re-running",
-                               stage)
+            if record is not None:
+                if record.status == "done":
+                    logger.warning("stage %s or an upstream stage changed; "
+                                   "re-running", stage)
+                _remove_stale_outputs(workdir, record)
 
             record = StageRecord(stage_name=stage, input_fingerprint=fingerprint)
             records[stage] = record
@@ -517,8 +525,6 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
         return PipelineSummary(workdir=str(workdir), records=[
             records[name] for name in STAGE_ORDER if name in records
         ], executed=executed, skipped=skipped)
-    finally:
-        lock.release()
 
 
 def resume(workdir) -> PipelineSummary:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -9,16 +10,14 @@ from riskpath import (
     Pathway,
     ScoreBreakdown,
     ScoringConfig,
-    TraversalState,
     build_graph,
     cross_layer_count,
     discover,
     enumerate_oracle,
     pagerank,
     rank_top_k,
-    upper_bound_prune,
 )
-from riskpath.discovery import format_pathways
+from riskpath.discovery import _extension_bound, format_pathways
 from oracle_pagerank import dense_pagerank
 from riskpath.scoring import CentralityScores
 from util import chain_graph, random_graph
@@ -175,24 +174,11 @@ class TestPruning:
         config = ScoringConfig(theta_novelty=0.0, fmax_mode="edge-max")
         for n in range(2, 6):
             for t in range(0, n):
-                state = TraversalState(num_entities=n, transitions=t,
-                                       impact_sum=0.0)
-                assert not upper_bound_prune(state, config, max_impact=0.0)
+                assert _extension_bound(n, t, 0.0, config, max_impact=0.0) > 0.0
 
     def test_theta_one_prunes_when_bound_strict(self):
         config = ScoringConfig(theta_novelty=1.0, fmax_mode="edge-max")
-        state = TraversalState(num_entities=3, transitions=0, impact_sum=0.0)
-        assert upper_bound_prune(state, config, max_impact=0.5)
-
-    def test_pathway_max_mode_is_error(self):
-        state = TraversalState(num_entities=2, transitions=1, impact_sum=0.5)
-        with pytest.raises(DiscoveryError):
-            upper_bound_prune(state, DEFAULTS, max_impact=1.0)
-
-    def test_full_path_never_prunes(self):
-        config = ScoringConfig(theta_novelty=1.0, fmax_mode="edge-max", d_max=2)
-        state = TraversalState(num_entities=3, transitions=2, impact_sum=3.0)
-        assert not upper_bound_prune(state, config, max_impact=1.0)
+        assert _extension_bound(3, 0, 0.0, config, max_impact=0.5) <= 1.0
 
     def test_theta_one_empty_in_both_prune_settings(self):
         rng = random.Random(4242)
@@ -286,6 +272,21 @@ class TestOracleEquivalence:
             result = discover(graph, stats, cent, config, workers=workers)
             payloads.add(json.dumps(result.to_json_dict(graph), sort_keys=True))
         assert len(payloads) == 1
+
+    def test_workers_start_no_thread(self, monkeypatch):
+        rng = random.Random(31337)
+        graph, stats = random_graph(rng, 80, 240)
+        config = ScoringConfig(theta_novelty=0.5, top_k=30)
+        cent = pagerank(graph, config)
+        want = discover(graph, stats, cent, config, workers=1)
+        assert want.pathways
+
+        def no_threads(self):
+            raise AssertionError("discover started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        got = discover(graph, stats, cent, config, workers=8)
+        assert results_equal(got, want)
 
 
 class TestMonotonicity:

@@ -1,6 +1,8 @@
+import fcntl
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +171,29 @@ class TestRun:
         assert (workdir / "pathways.json").read_bytes() == before
         rewritten = json.loads((workdir / "manifest.json").read_text())
         assert [r["stage_name"] for r in rewritten] == list(pipeline.STAGE_ORDER)
+        for name in old_outputs[:3]:
+            assert not (workdir / name).exists(), name
+
+    def test_stale_output_removal_spares_other_files(self, tmp_path):
+        # only a bare name that no current stage writes may be removed
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        (workdir / "sub").mkdir()
+        spared = [tmp_path / "outside.txt", workdir / "sub" / "x.json"]
+        for path in spared:
+            path.write_text("keep")
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        manifest[0]["output_paths"] += [
+            "old.json", "../outside.txt", "sub/x.json", str(spared[1]), "sub",
+            "..", "config.json", "manifest.json", "pipeline.lock", 7]
+        (workdir / "old.json").write_text("stale")
+        (workdir / "manifest.json").write_text(json.dumps(manifest))
+        summary = resume(workdir)
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert not (workdir / "old.json").exists()
+        assert all(path.read_text() == "keep" for path in spared)
+        assert (workdir / "config.json").exists()
 
     def test_snapshot_of_another_version_reruns_ingest(self, tmp_path, monkeypatch):
         # a workdir written by a release with another snapshot format
@@ -337,10 +362,37 @@ class TestLock:
         config = make_config(tmp_path)
         workdir = tmp_path / "work"
         workdir.mkdir()
-        (workdir / "pipeline.lock").write_text(
-            json.dumps({"pid": 1, "started_at": 0}))
-        with pytest.raises(PipelineError, match="lock"):
-            run(config, workdir)
+        with open(workdir / "pipeline.lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(PipelineError, match="lock"):
+                run(config, workdir)
+        assert not (workdir / "manifest.json").exists()
+
+    def test_killed_holder_does_not_block(self, tmp_path):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, sys\n"
+             "fh = open(sys.argv[1], 'w')\n"
+             "fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+             "print('locked', flush=True)\n"
+             "sys.stdin.read()\n",
+             str(workdir / "pipeline.lock")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            with pytest.raises(PipelineError, match="lock"):
+                run(config, workdir)
+        finally:
+            holder.kill()
+            holder.communicate(timeout=60)
+        assert holder.returncode == -signal.SIGKILL
+        assert (workdir / "pipeline.lock").exists()
+        summary = run(config, workdir)
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert not (workdir / "pipeline.lock").exists()
 
     def test_stale_lock_taken_over(self, tmp_path):
         config = make_config(tmp_path)
