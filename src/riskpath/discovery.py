@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DiscoveryError
-from .graph import KnowledgeGraph, Layer
+from .graph import KnowledgeGraph, Layer, collector_paused
 from .ingest import CorpusStats
 from .scoring import (
     FMAX_PATHWAY,
@@ -321,23 +321,25 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     ``prune`` defaults to on in edge-max mode and is ignored in pathway-max
     mode, whose ``candidates_enumerated`` counts every candidate.
     ``workers`` is accepted for compatibility and has no effect: every
-    source runs on the calling thread.
+    source runs on the calling thread. The cyclic garbage collector is
+    paused from the index build to the merge (``graph.collector_paused``).
     """
-    index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
-    sources = index.sources
-    if config.fmax_mode == FMAX_PATHWAY:
-        f_max = _pathway_f_max(index, config.d_max)
-        prune = False
-    else:
-        f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode,
-                                   index.entity_docs)
-        prune = prune is None or bool(prune)
-    max_impact = max(index.sevcent, default=0.0)
+    with collector_paused():
+        index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
+        sources = index.sources
+        if config.fmax_mode == FMAX_PATHWAY:
+            f_max = _pathway_f_max(index, config.d_max)
+            prune = False
+        else:
+            f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode,
+                                       index.entity_docs)
+            prune = prune is None or bool(prune)
+        max_impact = max(index.sevcent, default=0.0)
 
-    results = [_source_candidates(source, index, config, f_max, prune, max_impact)
-               for source in sources]
-    top = heapq.nsmallest(config.top_k,
-                          (record for records, _ in results for record in records))
+        results = [_source_candidates(source, index, config, f_max, prune, max_impact)
+                   for source in sources]
+        top = heapq.nsmallest(config.top_k,
+                              (record for records, _ in results for record in records))
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),

@@ -49,7 +49,8 @@ from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
                      TransientStageError)
-from .graph import SNAPSHOT_VERSION, build_graph, load_snapshot, save_snapshot
+from .graph import (SNAPSHOT_VERSION, build_graph, collector_paused, load_snapshot,
+                    save_snapshot)
 from .ingest import (
     CorpusStats,
     aggregate,
@@ -131,7 +132,7 @@ class PipelineConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise ConfigError(f"cannot load pipeline config {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: pipeline config must be a JSON object")
@@ -319,27 +320,30 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
     Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
     every file is written atomically. Returns counts for a summary line.
+    The cyclic garbage collector is paused for the call
+    (``graph.collector_paused``).
     """
-    triples, parse_errors = _parse_text_file(
-        config.triples, parse_triples, config.triples_format, config.malformed_tolerance)
-    meta = _parse_text_file(config.entities, parse_entity_meta)
-    extra_aliases = (_string_map(config.aliases, "alias file")
-                     if config.aliases else None)
-    lexicon = (load_layer_lexicon(_string_map(config.layer_lexicon, "layer lexicon"))
-               if config.layer_lexicon else None)
+    with collector_paused():
+        triples, parse_errors = _parse_text_file(
+            config.triples, parse_triples, config.triples_format, config.malformed_tolerance)
+        meta = _parse_text_file(config.entities, parse_entity_meta)
+        extra_aliases = (_string_map(config.aliases, "alias file")
+                         if config.aliases else None)
+        lexicon = (load_layer_lexicon(_string_map(config.layer_lexicon, "layer lexicon"))
+                   if config.layer_lexicon else None)
 
-    canonical, unregistered = canonicalize(triples, meta, extra_aliases)
-    if unregistered:
-        logger.warning("%d unregistered entity names (first: %r)",
-                       len(unregistered), unregistered[0])
-    result = aggregate(canonical, meta, lexicon, strict=config.strict)
-    graph = build_graph(result.entities, result.relations, doc_count=result.doc_count)
+        canonical, unregistered = canonicalize(triples, meta, extra_aliases)
+        if unregistered:
+            logger.warning("%d unregistered entity names (first: %r)",
+                           len(unregistered), unregistered[0])
+        result = aggregate(canonical, meta, lexicon, strict=config.strict)
+        graph = build_graph(result.entities, result.relations, doc_count=result.doc_count)
 
-    tmp = workdir / "graph.rpkg.tmp"
-    save_snapshot(graph, tmp)
-    os.replace(tmp, workdir / "graph.rpkg")
-    _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
-    _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
+        tmp = workdir / "graph.rpkg.tmp"
+        save_snapshot(graph, tmp)
+        os.replace(tmp, workdir / "graph.rpkg")
+        _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
+        _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
     return {"entities": len(graph.entities), "relations": len(graph.relations),
             "doc_count": graph.doc_count, "parse_errors": len(parse_errors),
             "rejections": len(result.rejections), "unregistered": len(unregistered)}
@@ -381,19 +385,35 @@ STAGES = {
 
 # --- manifest and lock --------------------------------------------------------
 
+_RECORD_TYPES = {"stage_name": str, "input_fingerprint": str, "output_paths": list,
+                 "output_fingerprints": list, "status": str, "attempts": int}
+
+
+def _is_record_row(row) -> bool:
+    """A manifest row as ``_save_manifest`` writes it: every StageRecord
+    field, of its type (a bool is no int), and path lists of strings."""
+    return (isinstance(row, dict) and row.keys() == _RECORD_TYPES.keys()
+            and all(type(row[name]) is kind for name, kind in _RECORD_TYPES.items())
+            and all(isinstance(name, str)
+                    for name in row["output_paths"] + row["output_fingerprints"]))
+
+
 def _load_manifest(workdir: Path) -> dict[str, StageRecord]:
+    """The manifest's records by stage; a manifest that does not decode or
+    holds an ill-formed row is unreadable, and the run starts fresh."""
     path = workdir / MANIFEST_NAME
     if not path.exists():
         return {}
     try:
         rows = _load_json(path)
-        records = {}
-        for row in rows:
-            records[row["stage_name"]] = StageRecord(**row)
-        return records
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         logger.warning("manifest unreadable (%s); starting fresh", exc)
         return {}
+    if not (isinstance(rows, list) and all(map(_is_record_row, rows))):
+        logger.warning("manifest unreadable (not a list of stage records); "
+                       "starting fresh")
+        return {}
+    return {row["stage_name"]: StageRecord(**row) for row in rows}
 
 
 def _save_manifest(workdir: Path, records: dict[str, StageRecord]) -> None:
@@ -416,8 +436,8 @@ def _remove_stale_outputs(workdir: Path, record: StageRecord) -> None:
     writes (a workdir of an older stage layout). Only bare file names are
     removed, never a path, ``..`` or one of the run's own files."""
     for name in record.output_paths:
-        if (not isinstance(name, str) or name in _CURRENT_OUTPUTS
-                or name in _NEVER_REMOVED or os.path.basename(name) != name):
+        if (name in _CURRENT_OUTPUTS or name in _NEVER_REMOVED
+                or os.path.basename(name) != name):
             continue
         with contextlib.suppress(OSError, ValueError):
             (workdir / name).unlink()

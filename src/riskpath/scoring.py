@@ -125,7 +125,7 @@ class ScoringConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise ConfigError(f"cannot load scoring config {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: scoring config must be a JSON object")

@@ -401,6 +401,20 @@ class TestPipelineCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "run", "--config", "{bad}", "--workdir", "{wd}"],
+        ["pipeline", "resume", "--workdir", "{wd}"],
+        ["discover", "{wd}", "--config", "{bad}"],
+    ], ids=["run-config", "resume-config", "discover-config"])
+    def test_non_utf8_config_exit_one(self, workdir, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"triples": "\xff"}')
+        (workdir / "manifest.json").write_text("[]")
+        (workdir / "config.json").write_bytes(bad.read_bytes())
+        code = main([arg.format(bad=bad, wd=workdir) for arg in argv])
+        assert code == 1
+        assert "cannot load" in capsys.readouterr().err
+
     def test_run_without_config_usage_error(self, tmp_path):
         assert main(["pipeline", "run", "--workdir", str(tmp_path)]) == 2
 

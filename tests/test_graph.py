@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,17 +11,25 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from riskpath import (
     CorpusStats,
     Entity,
+    GenSpec,
     GraphBuildError,
     KnowledgeGraph,
     Layer,
     Phase,
     Relation,
     SnapshotError,
+    ScoringConfig,
     UnknownEntityError,
     build_graph,
+    discover,
+    generate,
     load_snapshot,
+    pagerank,
     save_snapshot,
 )
+from riskpath.graph import collector_paused
+from riskpath.pipeline import PipelineConfig, ingest
+from riskpath.syngen import write_corpus
 from util import make_entity, random_graph
 
 
@@ -418,3 +428,75 @@ class TestCorpusStats:
         assert stats.doc_count == graph.doc_count
         round_tripped = CorpusStats.from_dict(stats.to_dict())
         assert round_tripped == stats
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector_state(request):
+    """Enter the test with the cyclic collector on or off; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    def test_load_snapshot_leaves_state(self, tmp_path, collector_state):
+        path = tmp_path / "g.rpkg"
+        path.write_bytes(_FUZZ_SNAPSHOT)
+        load_snapshot(path)
+        assert gc.isenabled() is collector_state
+
+    def test_failed_load_leaves_state(self, tmp_path, collector_state):
+        path = tmp_path / "g.rpkg"
+        path.write_bytes(_FUZZ_SNAPSHOT[:-1])
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+        assert gc.isenabled() is collector_state
+
+    def test_ingest_leaves_state(self, tmp_path, collector_state):
+        paths = write_corpus(generate(GenSpec(n_docs=30, seed=4, entities_per_layer=10)),
+                             tmp_path / "corpus")
+        config = PipelineConfig(triples=str(paths["triples"]),
+                                entities=str(paths["entities"]))
+        assert ingest(config, tmp_path)["relations"] > 0
+        assert gc.isenabled() is collector_state
+
+    def test_discover_leaves_state(self, collector_state):
+        graph, stats = random_graph(random.Random(5), 30, 80)
+        config = ScoringConfig(theta_novelty=0.0)
+        result = discover(graph, stats, pagerank(graph, config), config)
+        assert result.pathways
+        assert gc.isenabled() is collector_state
+
+    def test_nested_pauses_restore_outer_state(self, collector_state):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector_state
+
+    def test_no_collection_starts_inside_load(self, tmp_path):
+        # a load allocates several container objects per record; with the
+        # collector running that starts a collection every few hundred
+        graph, _ = random_graph(random.Random(6), 500, 2000, phase_prob=0.3)
+        path = tmp_path / "g.rpkg"
+        save_snapshot(graph, path)
+        starts = []
+
+        def record(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not load_snapshot.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            loaded = load_snapshot(path)
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was_enabled else gc.disable)()
+        assert starts == []
+        assert loaded == graph

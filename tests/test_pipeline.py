@@ -11,6 +11,7 @@ import pytest
 
 from riskpath import (
     CentralityScores,
+    ConfigError,
     CorpusStats,
     GenSpec,
     Layer,
@@ -186,7 +187,7 @@ class TestRun:
         manifest = json.loads((workdir / "manifest.json").read_text())
         manifest[0]["output_paths"] += [
             "old.json", "../outside.txt", "sub/x.json", str(spared[1]), "sub",
-            "..", "config.json", "manifest.json", "pipeline.lock", 7]
+            "..", "config.json", "manifest.json", "pipeline.lock"]
         (workdir / "old.json").write_text("stale")
         (workdir / "manifest.json").write_text(json.dumps(manifest))
         summary = resume(workdir)
@@ -299,7 +300,56 @@ class TestRetryIntegration:
         assert record["attempts"] == 1
 
 
+def _set_row(field, value):
+    def edit(rows):
+        rows[1][field] = value
+    return edit
+
+
 class TestResume:
+    @pytest.mark.parametrize("edit", [
+        _set_row("output_paths", 5),
+        _set_row("output_paths", ["pagerank.json", 7]),
+        _set_row("output_fingerprints", [None]),
+        _set_row("attempts", "x"),
+        _set_row("attempts", True),
+        _set_row("status", 7),
+        _set_row("stage_name", ["pagerank"]),
+        _set_row("input_fingerprint", 0),
+        _set_row("started", 1.5),
+        lambda rows: rows[1].pop("attempts"),
+        lambda rows: rows.append("discover"),
+        lambda rows: rows.clear() or rows.append(None),
+    ], ids=["paths-int", "paths-non-string", "fingerprints-non-string",
+            "attempts-string", "attempts-bool", "status-int", "stage-name-list",
+            "fingerprint-int", "unknown-field", "missing-field", "row-string",
+            "row-null"])
+    def test_ill_formed_manifest_row_reruns_everything(self, tmp_path, caplog, edit):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        before = (workdir / "pathways.json").read_bytes()
+        rows = json.loads((workdir / "manifest.json").read_text())
+        edit(rows)
+        (workdir / "manifest.json").write_text(json.dumps(rows))
+        with caplog.at_level(logging.WARNING, logger="riskpath"):
+            summary = resume(workdir)
+        assert "manifest unreadable" in caplog.text
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert (workdir / "pathways.json").read_bytes() == before
+
+    @pytest.mark.parametrize("data", [b"{bad", b"[\xff]", b"\xff\xfe[]", b"{}"],
+                             ids=["unparsable", "non-utf8", "utf16-bom", "object"])
+    def test_undecodable_manifest_reruns_everything(self, tmp_path, caplog, data):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        (workdir / "manifest.json").write_bytes(data)
+        with caplog.at_level(logging.WARNING, logger="riskpath"):
+            summary = resume(workdir)
+        assert "manifest unreadable" in caplog.text
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+
     def test_resume_without_manifest_is_error(self, tmp_path):
         with pytest.raises(PipelineError, match="resume"):
             resume(tmp_path)
@@ -413,6 +463,16 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config.to_dict()))
         assert PipelineConfig.from_json_file(path) == config
+
+    @pytest.mark.parametrize("data", [b'{"triples": "\xff"}', b"\xff"],
+                             ids=["in-string", "leading"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="cannot load pipeline config"):
+            PipelineConfig.from_json_file(path)
+        with pytest.raises(ConfigError, match="cannot load scoring config"):
+            ScoringConfig.from_json_file(path)
 
     def test_missing_required_fields(self, tmp_path):
         path = tmp_path / "cfg.json"
