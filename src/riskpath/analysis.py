@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .graph import KnowledgeGraph, Layer, Phase
 
+TEMPORAL_BY = ("target", "source")
+
 PHASE_WINDOWS = {
     Phase.ACUTE: "0-3 days",
     Phase.SUBACUTE: "3-14 days",
@@ -82,8 +84,8 @@ class LayerDistribution:
 
 def temporal_distribution(graph: KnowledgeGraph, by: str = "target") -> TemporalReport:
     """Tabulate what share of phase-tagged relations carries each phase tag."""
-    if by not in ("target", "source"):
-        raise ConfigError(f"temporal report 'by' must be 'target' or 'source', got {by!r}")
+    if by not in TEMPORAL_BY:
+        raise ConfigError(f"temporal report 'by' must be one of {TEMPORAL_BY}, got {by!r}")
     tagged = {layer: 0 for layer in Layer}
     hits = {(phase, layer): 0 for phase in Phase for layer in Layer}
     for rel in graph.relations.values():

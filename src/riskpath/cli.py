@@ -21,7 +21,7 @@ from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import RiskPathError
 from .graph import KnowledgeGraph, Layer, load_snapshot
-from .ingest import CorpusStats
+from .ingest import TRIPLES_FORMATS, CorpusStats
 from .pipeline import (
     PipelineConfig,
     _atomic_write_json,
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, canonicalize, and build the graph")
     p.add_argument("--triples", required=True)
     p.add_argument("--triples-format", dest="triples_format",
-                   choices=["jsonl", "tsv"], default="jsonl")
+                   choices=TRIPLES_FORMATS, default="jsonl")
     p.add_argument("--entities", required=True, help="entity metadata JSONL")
     p.add_argument("--aliases", help="JSON object of alias -> canonical name")
     p.add_argument("--layer-lexicon", dest="layer_lexicon",

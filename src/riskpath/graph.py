@@ -1,4 +1,4 @@
-"""Typed, immutable-after-build knowledge graph with adjacency indices.
+"""Typed, immutable-after-build knowledge graph with one adjacency index.
 
 Entities live on one of three layers (physical / social / economic), relations
 are directed labeled edges carrying document provenance and optional temporal
@@ -17,10 +17,10 @@ ASCII escapes)::
 
 Records are in id order, aliases and doc ids sorted, phases in ``Phase``
 order; layers and phases are stored by value. The same graph always gives
-the same bytes. Adjacency is not stored: ``load_snapshot`` derives it
-through ``build_graph``, which also checks every cross-reference. Any
-truncation, trailing bytes, ill-typed or misordered record, or repeated
-triple raises SnapshotError.
+the same bytes. The adjacency index is not stored: ``load_snapshot``
+derives it through ``build_graph``, which also checks every
+cross-reference. Any truncation, trailing bytes, ill-typed or misordered
+record, or repeated triple raises SnapshotError.
 
 Loading pauses CPython's cyclic garbage collector (``collector_paused``).
 Decoding and building allocate several container objects per record, and
@@ -160,30 +160,21 @@ class GraphStats:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KnowledgeGraph:
-    """Entity/relation store with adjacency indices. Read-only after build.
+    """Entity/relation store with one adjacency index. Read-only after build.
 
     Iteration order of ``entities`` and ``relations`` is sorted by id, so any
-    derived computation is deterministic. Out-adjacency lists are pre-sorted
-    by (target id, predicate, relation id); in-adjacency by (source id,
-    predicate, relation id).
+    derived computation is deterministic. ``adjacency`` maps each entity id
+    to the ids of its incident relations: each relation is listed under its
+    source and under its target (once for a self-loop), sorted by (other
+    endpoint id, predicate, relation id).
     """
 
     entities: dict[str, Entity]
     relations: dict[str, Relation]
-    out_adjacency: dict[str, tuple[str, ...]]
-    in_adjacency: dict[str, tuple[str, ...]]
+    adjacency: dict[str, tuple[str, ...]]
     doc_count: int
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return (self.entities == other.entities
-                and self.relations == other.relations
-                and self.out_adjacency == other.out_adjacency
-                and self.in_adjacency == other.in_adjacency
-                and self.doc_count == other.doc_count)
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -200,20 +191,20 @@ class KnowledgeGraph:
     def out_neighbors(self, entity_id: str, undirected: bool = False) -> list[tuple[str, str]]:
         """(relation id, neighbor entity id) pairs reachable from an entity.
 
-        Directed mode follows edge direction; undirected mode returns the
-        union of outbound and inbound edges (the neighbor is the opposite
-        endpoint), deduplicated by relation id. Order is deterministic:
-        sorted by (neighbor id, predicate, relation id).
+        Directed mode follows edge direction; undirected mode also follows
+        inbound edges, to their source, so each incident relation appears
+        once. Order is deterministic: sorted by (neighbor id, predicate,
+        relation id), the order of ``adjacency``.
         """
         if entity_id not in self.entities:
             raise UnknownEntityError(f"unknown entity id {entity_id!r}")
-        pairs = [(rid, self.relations[rid].target) for rid in self.out_adjacency[entity_id]]
-        if undirected:
-            seen = {rid for rid, _ in pairs}
-            for rid in self.in_adjacency[entity_id]:
-                if rid not in seen:
-                    pairs.append((rid, self.relations[rid].source))
-            pairs.sort(key=lambda p: (p[1], self.relations[p[0]].predicate, p[0]))
+        pairs = []
+        for rid in self.adjacency[entity_id]:
+            rel = self.relations[rid]
+            if rel.source == entity_id:
+                pairs.append((rid, rel.target))
+            elif undirected:
+                pairs.append((rid, rel.source))
         return pairs
 
     def stats(self) -> GraphStats:
@@ -272,21 +263,16 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
     entity_map = dict(sorted(entity_map.items()))
     relation_map = {rel.id: rel for rel in sorted(merged.values(), key=lambda r: r.id)}
 
-    out_lists: dict[str, list[str]] = {eid: [] for eid in entity_map}
-    in_lists: dict[str, list[str]] = {eid: [] for eid in entity_map}
+    incident: dict[str, list[Relation]] = {eid: [] for eid in entity_map}
     for rel in relation_map.values():
-        out_lists[rel.source].append(rel.id)
-        in_lists[rel.target].append(rel.id)
-    out_adj = {
-        eid: tuple(sorted(rids, key=lambda r: (relation_map[r].target,
-                                               relation_map[r].predicate, r)))
-        for eid, rids in out_lists.items()
-    }
-    in_adj = {
-        eid: tuple(sorted(rids, key=lambda r: (relation_map[r].source,
-                                               relation_map[r].predicate, r)))
-        for eid, rids in in_lists.items()
-    }
+        incident[rel.source].append(rel)
+        if rel.target != rel.source:
+            incident[rel.target].append(rel)
+    adjacency = {}
+    for eid, rels in incident.items():  # one entity's sort keys alive at a time
+        keys = sorted((r.target if r.source == eid else r.source, r.predicate, r.id)
+                      for r in rels)
+        adjacency[eid] = tuple([rid for _, _, rid in keys])
 
     seen_docs = set()
     for rel in relation_map.values():
@@ -301,8 +287,7 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
     return KnowledgeGraph(
         entities=entity_map,
         relations=relation_map,
-        out_adjacency=out_adj,
-        in_adjacency=in_adj,
+        adjacency=adjacency,
         doc_count=doc_count,
     )
 

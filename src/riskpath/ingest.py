@@ -20,6 +20,7 @@ from .errors import ConfigError, IngestError
 from .graph import Entity, KnowledgeGraph, Layer, Phase, Relation
 
 DEFAULT_MALFORMED_TOLERANCE = 0.1
+TRIPLES_FORMATS = ("jsonl", "tsv")
 UNREGISTERED_SEVERITY = 0.5
 
 _WHITESPACE = re.compile(r"\s+")
@@ -129,6 +130,12 @@ def _triple_from_tsv(line_no: int, text: str) -> RawTriple:
     return RawTriple(*stripped, phases)
 
 
+def check_malformed_tolerance(tolerance: float) -> None:
+    """The malformed fraction a parse accepts must be in [0, 1]."""
+    if not 0.0 <= tolerance <= 1.0:
+        raise ConfigError(f"'malformed_tolerance' must be in [0, 1], got {tolerance!r}")
+
+
 def parse_triples(stream: TextIO, format: str = "jsonl",
                   malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
                   ) -> tuple[list[RawTriple], list[dict]]:
@@ -138,8 +145,9 @@ def parse_triples(stream: TextIO, format: str = "jsonl",
     ``reason``). Blank lines are skipped. If the malformed fraction exceeds
     ``malformed_tolerance``, the whole parse fails with IngestError.
     """
-    if format not in ("jsonl", "tsv"):
+    if format not in TRIPLES_FORMATS:
         raise ConfigError(f"unknown triples format {format!r}")
+    check_malformed_tolerance(malformed_tolerance)
     parse_one = _triple_from_json if format == "jsonl" else _triple_from_tsv
 
     triples: list[RawTriple] = []

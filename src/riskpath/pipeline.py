@@ -45,16 +45,18 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .analysis import layer_distribution, temporal_distribution
+from .analysis import TEMPORAL_BY, layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
                      TransientStageError)
 from .graph import (SNAPSHOT_VERSION, build_graph, collector_paused, load_snapshot,
                     save_snapshot)
 from .ingest import (
+    TRIPLES_FORMATS,
     CorpusStats,
     aggregate,
     canonicalize,
+    check_malformed_tolerance,
     load_layer_lexicon,
     parse_entity_meta,
     parse_triples,
@@ -109,6 +111,18 @@ class PipelineConfig:
             if isinstance(value, os.PathLike):
                 setattr(self, name, os.fspath(value))
         check_field_types(self)
+        # values a stage would reject only once the stages before it had run
+        if self.triples_format not in TRIPLES_FORMATS:
+            raise ConfigError(f"'triples_format' must be one of {TRIPLES_FORMATS}, "
+                              f"got {self.triples_format!r}")
+        check_malformed_tolerance(self.malformed_tolerance)
+        if self.temporal_by not in TEMPORAL_BY:
+            raise ConfigError(f"'temporal_by' must be one of {TEMPORAL_BY}, "
+                              f"got {self.temporal_by!r}")
+        if self.retry_limit < 0:
+            raise ConfigError(f"'retry_limit' must be >= 0, got {self.retry_limit}")
+        if self.retry_base_delay < 0:
+            raise ConfigError(f"'retry_base_delay' must be >= 0, got {self.retry_base_delay}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -150,6 +164,9 @@ class StageRecord:
     status: str = "pending"  # pending | done | failed
     attempts: int = 0
 
+    def __post_init__(self):
+        check_field_types(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -160,11 +177,6 @@ class PipelineSummary:
     records: list[StageRecord]
     executed: list[str]
     skipped: list[str]
-
-    @property
-    def outputs(self) -> dict[str, list[str]]:
-        return {rec.stage_name: list(rec.output_paths)
-                for rec in self.records if rec.status == "done"}
 
     def to_dict(self) -> dict:
         return {
@@ -385,35 +397,24 @@ STAGES = {
 
 # --- manifest and lock --------------------------------------------------------
 
-_RECORD_TYPES = {"stage_name": str, "input_fingerprint": str, "output_paths": list,
-                 "output_fingerprints": list, "status": str, "attempts": int}
-
-
-def _is_record_row(row) -> bool:
-    """A manifest row as ``_save_manifest`` writes it: every StageRecord
-    field, of its type (a bool is no int), and path lists of strings."""
-    return (isinstance(row, dict) and row.keys() == _RECORD_TYPES.keys()
-            and all(type(row[name]) is kind for name, kind in _RECORD_TYPES.items())
-            and all(isinstance(name, str)
-                    for name in row["output_paths"] + row["output_fingerprints"]))
-
-
 def _load_manifest(workdir: Path) -> dict[str, StageRecord]:
-    """The manifest's records by stage; a manifest that does not decode or
-    holds an ill-formed row is unreadable, and the run starts fresh."""
+    """The manifest's records by stage. A manifest that does not decode, or
+    whose rows are not exactly the StageRecord fields each of its annotated
+    type, is unreadable, and the run starts fresh."""
     path = workdir / MANIFEST_NAME
     if not path.exists():
         return {}
     try:
         rows = _load_json(path)
-    except ValueError as exc:  # bad JSON or not UTF-8
+        if not (isinstance(rows, list) and all(
+                isinstance(row, dict) and row.keys() == StageRecord.__dataclass_fields__.keys()
+                for row in rows)):
+            raise ConfigError("not a list of stage records")
+        records = [StageRecord(**row) for row in rows]
+    except (ValueError, ConfigError) as exc:  # ValueError: bad JSON or not UTF-8
         logger.warning("manifest unreadable (%s); starting fresh", exc)
         return {}
-    if not (isinstance(rows, list) and all(map(_is_record_row, rows))):
-        logger.warning("manifest unreadable (not a list of stage records); "
-                       "starting fresh")
-        return {}
-    return {row["stage_name"]: StageRecord(**row) for row in rows}
+    return {record.stage_name: record for record in records}
 
 
 def _save_manifest(workdir: Path, records: dict[str, StageRecord]) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, asdict, fields, replace
 from typing import TYPE_CHECKING, Mapping
 
@@ -42,22 +43,28 @@ FREQ_ENTITIES = "entities"
 WEIGHT_SUM_TOLERANCE = 1e-12
 
 # annotation -> accepted value types; an int is a valid float, a bool is no number
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+                "list[str]": (list,)}
 
 
 def check_field_types(config) -> None:
     """Raise ConfigError naming the first dataclass field whose value does not
-    match its ``int``/``float``/``str``/``bool`` annotation, read as a string
-    (``| None`` admits None); fields of other types keep their own checks."""
+    match its ``int``/``float``/``str``/``bool``/``list[str]`` annotation,
+    read as a string (``| None`` admits None); a float must be finite. Fields
+    of other types keep their own checks."""
     for f in fields(config):
         base, _, optional = f.type.partition(" | ")
         allowed = _FIELD_TYPES.get(base)
         value = getattr(config, f.name)
         if allowed is None or (optional == "None" and value is None):
             continue
-        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+        if (isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed)
+                # false for NaN, infinities and ints no float can hold
+                or (base == "float" and not abs(value) <= sys.float_info.max)
+                or (base == "list[str]" and not all(isinstance(v, str) for v in value))):
             raise ConfigError(f"{type(config).__name__} field {f.name!r} must be "
-                              f"{f.type}, got {value!r}")
+                              f"{'a finite float' if base == 'float' else f.type}, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,17 +162,18 @@ class CentralityScores:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CentralityScores":
-        """Inverse of :meth:`to_dict`; a missing or ill-typed key raises
-        ScoringError."""
+        """Inverse of :meth:`to_dict`; a missing or ill-typed key, or a score
+        that is not a number in [0, 1], raises ScoringError."""
         try:
             scores, normalized = dict(data["scores"]), dict(data["normalized"])
             iterations_used, converged = data["iterations_used"], data["converged"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ScoringError(f"centrality scores: missing or malformed {exc}") from None
-        if (not all(isinstance(v, (int, float))
+        if (not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0  # false for NaN
                     for v in [*scores.values(), *normalized.values()])
                 or type(iterations_used) is not int or not isinstance(converged, bool)):
-            raise ScoringError("centrality scores: ill-typed value")
+            raise ScoringError("centrality scores: ill-typed value or a score "
+                               "outside [0, 1]")
         return cls(scores, normalized, iterations_used, converged)
 
 

@@ -6,7 +6,6 @@ test names.
 """
 
 import json
-import os
 import random
 import resource
 import subprocess
@@ -44,7 +43,8 @@ from riskpath.pipeline import PipelineConfig, resume
 from riskpath.scoring import CentralityScores
 from riskpath.syngen import write_corpus
 from oracle_pagerank import dense_pagerank
-from util import TEMPORAL_REFERENCE_CELLS, chain_graph, make_entity, random_graph, temporal_reference_graph
+from util import (TEMPORAL_REFERENCE_CELLS, chain_graph, make_entity, random_graph,
+                  subprocess_env, temporal_reference_graph)
 
 DEFAULTS = ScoringConfig()
 EXACT = 1e-12
@@ -278,7 +278,7 @@ def test_criterion_8_crash_resume_equivalence(tmp_path):
     config_path.write_text(json.dumps(config.to_dict()))
 
     def run_subprocess(workdir, crash_at=None):
-        env = dict(os.environ)
+        env = subprocess_env()
         env.pop("RISKPATH_TEST_CRASH", None)
         if crash_at:
             env["RISKPATH_TEST_CRASH"] = crash_at

@@ -1,8 +1,10 @@
 """Fuzzed JSON artifacts through the CLI: every outcome is exit 0, or exit 1
-with an ``error:`` line; a traceback fails the test.
+with an ``error:`` line; a traceback fails the test. A ``pathways.json`` left
+by an exit 0 must be strict JSON: no ``NaN`` or ``Infinity``.
 
-Each artifact is mutated by a truncation plus byte flips, or by replacing
-one node of its decoded JSON document with another JSON value. The corpus
+Each artifact is mutated by a truncation plus byte flips, by replacing one
+node of its decoded JSON document with another JSON value, or by setting
+every float in that document to one out-of-range value. The corpus
 is a hand-made graph of six entities, so that a mutated ``d_max`` or
 ``top_k`` cannot make a run long.
 """
@@ -27,6 +29,9 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=4)
+
+# what a float field should never hold; json.dumps writes Infinity and NaN
+_BAD_FLOATS = st.sampled_from([float("inf"), float("-inf"), float("nan"), -5.0, 1.5])
 
 _FUZZ = settings(max_examples=100, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -56,7 +61,12 @@ def done_workdir(tmp_path_factory):
 
 def _mutate(data, raw: bytes) -> bytes:
     """Draw one mutation of a JSON file's bytes."""
-    if data.draw(st.booleans(), label="structural"):
+    kind = data.draw(st.sampled_from(["node", "floats", "bytes"]), label="kind")
+    if kind == "floats":
+        value = data.draw(_BAD_FLOATS, label="value")
+        return json.dumps(json.loads(raw, parse_float=lambda _: value),
+                          indent=2).encode("utf-8")
+    if kind == "node":
         doc = json.loads(raw)
         nodes = [(None, None)]  # (container, key) pairs; (None, None) is the root
         stack = [doc]
@@ -82,10 +92,16 @@ def _mutate(data, raw: bytes) -> bytes:
     return bytes(out[:data.draw(st.integers(0, len(raw)), label="cut")])
 
 
-def _exits_cleanly(capsys, argv) -> None:
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _exits_cleanly(capsys, argv, pathways=None) -> None:
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 0 or (code == 1 and "error: " in err), (code, err)
+    if code == 0 and pathways is not None and pathways.exists():
+        json.loads(pathways.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 class TestFuzzedJsonArtifacts:
@@ -97,7 +113,8 @@ class TestFuzzedJsonArtifacts:
         shutil.rmtree(workdir, ignore_errors=True)
         shutil.copytree(done_workdir, workdir)
         (workdir / name).write_bytes(_mutate(data, (done_workdir / name).read_bytes()))
-        _exits_cleanly(capsys, ["pipeline", "resume", "--workdir", str(workdir)])
+        _exits_cleanly(capsys, ["pipeline", "resume", "--workdir", str(workdir)],
+                       workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ
@@ -108,7 +125,7 @@ class TestFuzzedJsonArtifacts:
             shutil.copy(done_workdir / "graph.rpkg", workdir)
         raw = (done_workdir / "pagerank.json").read_bytes()
         (workdir / "pagerank.json").write_bytes(_mutate(data, raw))
-        _exits_cleanly(capsys, ["discover", str(workdir)])
+        _exits_cleanly(capsys, ["discover", str(workdir)], workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ
@@ -122,7 +139,8 @@ class TestFuzzedJsonArtifacts:
                           "fmax_mode": "edge-max"}, indent=2).encode("utf-8")
         config = tmp_path / "scoring.json"
         config.write_bytes(_mutate(data, raw))
-        _exits_cleanly(capsys, ["discover", str(workdir), "--config", str(config)])
+        _exits_cleanly(capsys, ["discover", str(workdir), "--config", str(config)],
+                       workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ

@@ -41,6 +41,12 @@ def workdir(tmp_path, corpus_dir):
     return wd
 
 
+def _set_every_normalized(text, literal):
+    data = json.loads(text)
+    data["normalized"] = {eid: "@" for eid in data["normalized"]}
+    return json.dumps(data).replace('"@"', literal)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -225,7 +231,11 @@ class TestDiscoverCommand:
                                  if k != "normalized"}),
         lambda text: text[:len(text) // 2],
         lambda text: "[]",
-    ], ids=["missing-normalized", "truncated", "not-an-object"])
+        lambda text: _set_every_normalized(text, "1e309"),
+        lambda text: _set_every_normalized(text, "NaN"),
+        lambda text: _set_every_normalized(text, "-5.0"),
+    ], ids=["missing-normalized", "truncated", "not-an-object", "normalized-1e309",
+            "normalized-nan", "normalized-negative"])
     def test_bad_pagerank_json_exit_one(self, workdir, capsys, edit):
         assert main(["pagerank", str(workdir)]) == 0
         pr_path = workdir / "pagerank.json"
@@ -371,7 +381,12 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("field, value", [
         ("alpha", "x"), ("d_max", 5.0), ("top_k", True), ("fmax_mode", 1),
         ("workers", "two"), ("strict", 1), ("malformed_tolerance", False),
-        ("prune", "yes"), ("aliases", 3), ("scoring", [])],
+        ("prune", "yes"), ("aliases", 3), ("scoring", []),
+        ("alpha", float("nan")), ("pr_tolerance", float("nan")),
+        ("pr_tolerance", float("inf")), ("temporal_by", "bogus"),
+        ("triples_format", "csv"), ("malformed_tolerance", -1),
+        ("malformed_tolerance", 1.5), ("retry_limit", -1), ("retry_base_delay", -1),
+        ("retry_base_delay", float("inf")), ("retry_base_delay", float("nan"))],
         ids=lambda v: repr(v))
     def test_ill_typed_config_exit_one_before_any_stage(self, tmp_path, corpus_dir,
                                                         capsys, field, value):
@@ -388,6 +403,31 @@ class TestPipelineCommand:
                      "--workdir", str(wd)])
         assert code == 1
         assert repr(field) in capsys.readouterr().err
+        assert not (wd / "graph.rpkg").exists()
+
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("pagerank", "--pr-tolerance", "inf", "pr_tolerance"),
+        ("pagerank", "--pr-tolerance", "nan", "pr_tolerance"),
+        ("pagerank", "--damping", "nan", "damping"),
+        ("discover", "--alpha", "nan", "alpha"),
+        ("discover", "--theta", "inf", "theta_novelty"),
+    ], ids=lambda v: v)
+    def test_non_finite_scoring_flag_exit_one(self, workdir, capsys, command, flag,
+                                              value, field):
+        assert main([command, str(workdir), flag, value]) == 1
+        assert repr(field) in capsys.readouterr().err
+        assert not (workdir / "pagerank.json").exists()
+        assert not (workdir / "pathways.json").exists()
+
+    @pytest.mark.parametrize("tolerance", ["-1", "1.5", "nan"])
+    def test_ingest_tolerance_outside_unit_interval_exit_one(self, tmp_path, corpus_dir,
+                                                            capsys, tolerance):
+        wd = tmp_path / "wd"
+        code = main(["ingest", "--triples", str(corpus_dir / "triples.jsonl"),
+                     "--entities", str(corpus_dir / "entities.jsonl"),
+                     "--malformed-tolerance", tolerance, "--out", str(wd)])
+        assert code == 1
+        assert "'malformed_tolerance'" in capsys.readouterr().err
         assert not (wd / "graph.rpkg").exists()
 
     @pytest.mark.parametrize("text", ["[]", '{"entities": "e.jsonl"}', "{bad"],

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from util import subprocess_env
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
 def run_demo(argv, tmp_path, env_path=None):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = subprocess_env(TMPDIR=str(tmp_path))
     if env_path:
         env["PATH"] = f"{env_path}{os.pathsep}{env['PATH']}"
     return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,

@@ -85,10 +85,17 @@ class TestBuildGraph:
         a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
         r = rel("r", "A", "B")
         graph = build_graph([a, b], [r])
-        assert graph.out_adjacency["A"] == ("r",)
-        assert graph.in_adjacency["B"] == ("r",)
-        assert graph.out_adjacency["B"] == ()
-        assert graph.in_adjacency["A"] == ()
+        assert graph.adjacency == {"A": ("r",), "B": ("r",)}
+        assert graph.out_neighbors("A") == [("r", "B")]
+        assert graph.out_neighbors("B") == []
+        assert graph.out_neighbors("B", undirected=True) == [("r", "A")]
+
+    def test_self_loop_listed_once(self):
+        a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
+        graph = build_graph([a, b], [rel("loop", "A", "A"), rel("r", "B", "A")])
+        assert graph.adjacency == {"A": ("loop", "r"), "B": ("r",)}
+        assert graph.out_neighbors("A") == [("loop", "A")]
+        assert graph.out_neighbors("A", undirected=True) == [("loop", "A"), ("r", "B")]
 
     def test_duplicate_triples_merge_docs(self):
         a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
@@ -152,6 +159,28 @@ class TestOutNeighbors:
             key = [(n, graph.relations[rid].predicate, rid) for rid, n in got]
             assert key == sorted(key)
 
+    def test_both_modes_match_brute_force_with_loops_and_antiparallel_pairs(self):
+        rng = random.Random(17)
+        entities = [make_entity(f"n{i}", rng.choice(list(Layer))) for i in range(8)]
+        relations = [rel("a1", "n0", "n1", pred="p"), rel("a2", "n1", "n0", pred="p"),
+                     rel("a3", "n1", "n0", pred="q"), rel("loop0", "n0", "n0"),
+                     rel("loop1", "n1", "n1", pred="a")]
+        for i in range(60):  # self-loops allowed; repeated triples merge
+            s, t = rng.choice(entities).id, rng.choice(entities).id
+            relations.append(rel(f"x{i:02d}", s, t, pred=rng.choice("pqr"),
+                                 docs=(f"d{rng.randrange(5)}",)))
+        graph = build_graph(entities, relations)
+        rels = graph.relations.values()
+        assert any(r.source == r.target for r in rels)
+        assert any((r.target, r.source) == (q.source, q.target) for r in rels for q in rels
+                   if r.source != r.target)
+        for eid in graph.entities:
+            directed = sorted((r.target, r.predicate, r.id) for r in rels if r.source == eid)
+            assert graph.out_neighbors(eid) == [(rid, n) for n, _, rid in directed]
+            both = sorted((r.target if r.source == eid else r.source, r.predicate, r.id)
+                          for r in rels if eid in (r.source, r.target))
+            assert graph.out_neighbors(eid, undirected=True) == [(rid, n) for n, _, rid in both]
+
 
 class TestGraphStats:
     def test_three_layers_two_edges(self):
@@ -182,22 +211,27 @@ class TestGraphStats:
 
 class TestAdjacencyInvariant:
     def test_every_relation_in_exactly_one_out_and_in_list(self):
+        # a relation is listed as outbound only under its source and as
+        # inbound only under its target, and nowhere else
         rng = random.Random(3)
         graph, _ = random_graph(rng, 60, 150)
-        out_owner = {}
-        for eid, rids in graph.out_adjacency.items():
+        out_owner, in_owner = {}, {}
+        for eid, rids in graph.adjacency.items():
+            assert len(set(rids)) == len(rids)
             for rid in rids:
-                assert rid not in out_owner
-                out_owner[rid] = eid
-        in_owner = {}
-        for eid, rids in graph.in_adjacency.items():
-            for rid in rids:
-                assert rid not in in_owner
-                in_owner[rid] = eid
+                r = graph.relations[rid]
+                owners = out_owner if r.source == eid else in_owner
+                assert rid not in owners
+                owners[rid] = eid
         for rid, r in graph.relations.items():
             assert out_owner[rid] == r.source
             assert in_owner[rid] == r.target
-        assert len(out_owner) == len(graph.relations)
+        assert len(out_owner) == len(in_owner) == len(graph.relations)
+        assert sum(map(len, graph.adjacency.values())) == 2 * len(graph.relations)
+        for eid, rids in graph.adjacency.items():
+            key = [(r.target if r.source == eid else r.source, r.predicate, r.id)
+                   for r in map(graph.relations.get, rids)]
+            assert key == sorted(key)
 
 
 class TestSnapshot:
@@ -216,8 +250,7 @@ class TestSnapshot:
         assert loaded == graph
         assert loaded.entities == graph.entities
         assert loaded.relations == graph.relations
-        assert loaded.out_adjacency == graph.out_adjacency
-        assert loaded.in_adjacency == graph.in_adjacency
+        assert loaded.adjacency == graph.adjacency
         assert loaded.doc_count == graph.doc_count
 
     def test_build_is_deterministic_under_permutation(self, tmp_path):

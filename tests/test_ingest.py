@@ -63,6 +63,11 @@ class TestParseTriples:
         triples, errors = parse_triples(jsonl(*rows), malformed_tolerance=0.1)
         assert len(triples) == 9 and len(errors) == 1
 
+    @pytest.mark.parametrize("tolerance", [-1.0, 1.5, float("nan")])
+    def test_tolerance_outside_unit_interval_is_config_error(self, tolerance):
+        with pytest.raises(ConfigError, match="'malformed_tolerance'"):
+            parse_triples(jsonl("{broken"), malformed_tolerance=tolerance)
+
     def test_phases_parsed(self):
         triples, _ = parse_triples(jsonl(
             {"s": "a", "p": "b", "o": "c", "doc": "d", "phases": ["acute", "chronic"]}))

@@ -1,7 +1,6 @@
 import fcntl
 import json
 import logging
-import os
 import signal
 import subprocess
 import sys
@@ -33,6 +32,7 @@ from riskpath.pipeline import (
     run,
 )
 from riskpath.syngen import write_corpus
+from util import subprocess_env
 
 CHAIN = PlantedChain((Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC), attestations=1)
 
@@ -364,7 +364,7 @@ class TestResume:
 
 
 def run_pipeline_subprocess(config_path, workdir, crash_at=None):
-    env = dict(os.environ)
+    env = subprocess_env()
     env.pop("RISKPATH_TEST_CRASH", None)
     if crash_at:
         env["RISKPATH_TEST_CRASH"] = crash_at

@@ -48,7 +48,9 @@ class TestScoringConfig:
         ("theta_novelty", 1.5), ("theta_novelty", -0.1), ("d_max", 0),
         ("top_k", 0), ("fmax_mode", "median"), ("freq_mode", "mentions"),
         ("damping", 0.0), ("damping", 1.0), ("pr_tolerance", 0.0),
-        ("pr_max_iters", 0),
+        ("pr_max_iters", 0), ("alpha", float("nan")), ("pr_tolerance", float("nan")),
+        ("pr_tolerance", float("inf")), ("damping", float("nan")),
+        ("theta_novelty", float("nan")), ("alpha", 10 ** 400),
     ])
     def test_field_invariants(self, field, value):
         with pytest.raises(ConfigError):
@@ -153,8 +155,13 @@ class TestCentralityScoresFromDict:
         lambda d: d.update(normalized={"a": "1.0", "b": 0.5}),
         lambda d: d.update(iterations_used="1"),
         lambda d: d.update(converged="yes"),
+        lambda d: d["normalized"].update(a=float("inf")),
+        lambda d: d["normalized"].update(a=float("nan")),
+        lambda d: d["normalized"].update(b=-5.0),
+        lambda d: d["scores"].update(b=1.5),
     ], ids=["no-normalized", "no-converged", "scores-list", "string-score",
-            "string-iterations", "string-converged"])
+            "string-iterations", "string-converged", "infinite-score", "nan-score",
+            "negative-score", "score-above-one"])
     def test_missing_or_ill_typed_key_is_scoring_error(self, edit):
         data = fake_centrality({"a": 1.0, "b": 0.5}).to_dict()
         edit(data)

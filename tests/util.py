@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from riskpath import (
     CorpusStats,
@@ -13,6 +15,19 @@ from riskpath import (
     Relation,
     build_graph,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """This process's environment plus ``overrides``, with this tree's
+    ``src`` first on PYTHONPATH, so that a child Python process imports the
+    riskpath under test however pytest was started."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return env
+
 
 PREDICATES = ("increases", "disrupts", "reduces", "strains", "triggers")
 
