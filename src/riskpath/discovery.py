@@ -2,24 +2,34 @@
 
 Starting from every physical-layer entity, all simple directed pathways of
 edge length 1..d_max are enumerated breadth-first; those crossing layers at
-least twice are scored and the ones exceeding the novelty threshold are
+least twice are candidates, and the ones exceeding the novelty threshold are
 ranked deterministically. ``enumerate_oracle`` is a deliberately naive
 exhaustive re-implementation (recursive DFS over the public graph API, no
 pruning) kept as the correctness reference: on any graph small enough to
 enumerate, ``discover`` must produce the identical result.
 
-F_max is fixed before traversal in both modes, so each source scores every
-candidate once as it is found and keeps only its ``top_k`` records; the
-merged records are ranked by one total order. Every source runs on the
-calling thread. Pruning (edge-max mode only) uses an admissible upper bound
-(``_extension_bound``) on any extension's total and therefore never changes
-the returned pathways; it can only reduce ``candidates_enumerated``, which is
-a diagnostic counter.
+F_max is fixed before traversal in both modes, so a candidate is scored as
+it is found. Every source runs on the calling thread; the sources share one
+record buffer, kept to the ``top_k`` best, and its bar, the ``top_k``-th
+best total so far. Two cuts compare ``_extension_bound``, an admissible
+upper bound on the total of any extension of a pathway, with a threshold:
+
+- the bar cut, always on: a subtree whose bound is below the bar cannot
+  reach the top k, so its candidates are counted (``_count_extensions``)
+  but not scored;
+- the θ rule, in edge-max mode with ``prune`` only: a subtree whose bound is
+  at most θ is skipped, and its candidates go uncounted.
+
+Neither cut changes the returned pathways. ``candidates_enumerated``, a
+diagnostic counter, counts every candidate except those under the θ rule,
+whatever ``top_k`` and the order of the sources; ``candidates_scored``
+counts the ones that were scored.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -91,10 +101,17 @@ class Pathway:
 
 @dataclass
 class DiscoveryResult:
+    """Ranked pathways and how they were found.
+
+    ``candidates_scored`` (the candidates that were scored rather than only
+    counted) is a diagnostic and stays out of :meth:`to_json_dict`.
+    """
+
     pathways: list[tuple[Pathway, ScoreBreakdown]]
     config_echo: ScoringConfig
     f_max_used: int
     candidates_enumerated: int
+    candidates_scored: int
     sources_processed: int
 
     def to_json_dict(self, graph: KnowledgeGraph) -> dict:
@@ -180,14 +197,20 @@ def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
     LF can only reach 1; CLC's best case adds a layer transition on every
     remaining hop (monotone in the number of hops added); IP's best case
     appends entities at the graph-wide maximum of normalized centrality times
-    severity, which is maximized either by one hop or by all remaining hops
-    depending on whether that maximum exceeds the current mean.
+    severity. The IP term is the largest mean over every number of added
+    hops, each sum built one hop at a time as the traversal builds a
+    pathway's, so float rounding never lifts a real extension's total above
+    the bound, not even at a tie.
     """
     k_max = config.d_max - (num_entities - 1)
     clc_bound = (transitions + k_max) / (num_entities - 1 + k_max)
-    ip_one = (impact_sum + max_impact) / (num_entities + 1)
-    ip_all = (impact_sum + k_max * max_impact) / (num_entities + k_max)
-    return combine(1.0, clc_bound, max(ip_one, ip_all), config)
+    ip_bound = 0.0
+    for hops in range(1, k_max + 1):
+        impact_sum += max_impact
+        ip = impact_sum / (num_entities + hops)
+        if ip > ip_bound:
+            ip_bound = ip
+    return combine(1.0, clc_bound, ip_bound, config)
 
 
 class _GraphIndex:
@@ -196,14 +219,16 @@ class _GraphIndex:
     Adjacency entries are ``(target, relation, step_docs)``: a hop keeps the
     pathway's docs that are in ``step_docs``, the relation's docs or, in
     ``entities`` mode, the target's. ``entity_docs`` (the entity doc index)
-    and each ``start_docs`` entry are None in ``docs`` mode.
+    and each ``start_docs`` entry are None in ``docs`` mode. ``targets`` and
+    ``cross_targets`` list each entity's adjacency targets, all of them and
+    those on another layer, for :func:`_count_extensions`.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
                  centrality: CentralityScores, freq_mode: str, undirected: bool):
         self.entity_ids = list(graph.entities)
         index = {eid: i for i, eid in enumerate(self.entity_ids)}
-        self.layer = [graph.entities[eid].layer.rank for eid in self.entity_ids]
+        layer = self.layer = [graph.entities[eid].layer.rank for eid in self.entity_ids]
         try:
             self.sevcent = [centrality.normalized[eid] * graph.entities[eid].severity
                             for eid in self.entity_ids]
@@ -224,6 +249,10 @@ class _GraphIndex:
                 for eid in self.entity_ids]
         except KeyError as exc:
             raise DiscoveryError(f"corpus stats missing relation {exc}") from None
+        self.targets = [tuple(target for target, _, _ in adj) for adj in self.adjacency]
+        self.cross_targets = [
+            tuple(target for target in targets if layer[target] != layer[entity])
+            for entity, targets in enumerate(self.targets)]
         self.sources = [index[eid] for eid in self.entity_ids
                         if graph.entities[eid].layer is Layer.PHYSICAL]
 
@@ -257,59 +286,117 @@ def _pathway_f_max(index: _GraphIndex, d_max: int) -> int:
     return best
 
 
-def _source_candidates(source: int, index: _GraphIndex, config: ScoringConfig,
-                       f_max: int, prune: bool, max_impact: float,
-                       ) -> tuple[list, int]:
-    """Enumerate and score the candidates from one source.
+def _count_extensions(path: tuple[int, ...], transitions: int, impact_sum: float,
+                      index: _GraphIndex, config: ScoringConfig, prune: bool,
+                      max_impact: float) -> int:
+    """Count the candidates among the strict extensions of ``path``, unscored.
 
-    Returns (the source's ``top_k`` records, candidate count). A record is
-    ``(-total, entity count, entity idx tuple, relation idx tuple, f, lf,
-    clc, ip)``; entity and relation indexes follow sorted ids, so records
-    sort in :func:`rank_top_k`'s order.
+    The walk of :func:`_top_candidates` without doc sets, relation tuples or
+    scores: an extension is a candidate when it crosses layers twice, and
+    with ``prune`` the θ rule skips the same subtrees. The last hop is
+    counted from the last entity's target tuple (its cross-layer one when
+    the pathway has crossed layers once), less the targets already on the
+    pathway.
     """
-    alpha, beta, gamma = config.alpha, config.beta, config.gamma
-    theta = config.theta_novelty
-    d_max = config.d_max
-    adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
-
-    records = []
-    append_record = records.append
+    d_max, theta = config.d_max, config.theta_novelty
+    layer, sevcent = index.layer, index.sevcent
+    targets, cross_targets = index.targets, index.cross_targets
     count = 0
-    queue = deque()
-    push = queue.append
-    pop = queue.popleft
-    push(((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source]))
-    while queue:
-        path, rels, transitions, impact_sum, docs = pop()
-        depth = len(rels)
-        last_layer = layer[path[-1]]
-        deeper = depth + 1 < d_max
-        for target, rid, step in adjacency[path[-1]]:
+    stack = [(path, transitions, impact_sum)]
+    while stack:
+        path, transitions, impact_sum = stack.pop()
+        last = path[-1]
+        n = len(path) + 1  # entities in a one-hop extension
+        if n > d_max:
+            if transitions:
+                last_hop = targets[last] if transitions >= 2 else cross_targets[last]
+                count += len(last_hop) - sum(map(last_hop.count, path))
+            continue
+        last_layer = layer[last]
+        for target in targets[last]:
             if target in path:
                 continue
             new_transitions = transitions + (layer[target] != last_layer)
-            new_impact = impact_sum + sevcent[target]
-            new_docs = step if docs is None else docs & step
-            new_path = path + (target,)
-            new_rels = rels + (rid,)
-            n = depth + 2  # entities in the extended path
             if new_transitions >= 2:
                 count += 1
-                f = len(new_docs)
-                clc = new_transitions / (n - 1)
-                ip = new_impact / n
-                # expression kept identical to literature_frequency/combine
-                lf = 1.0 if f_max == 0 else 1.0 - f / f_max
-                total = alpha * lf + beta * clc + gamma * ip
-                if total > theta:
-                    append_record((-total, n, new_path, new_rels, f, lf, clc, ip))
-            if deeper:
-                if prune and _extension_bound(n, new_transitions, new_impact,
-                                              config, max_impact) <= theta:
+            new_impact = impact_sum + sevcent[target]
+            if prune and _extension_bound(n, new_transitions, new_impact,
+                                          config, max_impact) <= theta:
+                continue
+            stack.append((path + (target,), new_transitions, new_impact))
+    return count
+
+
+def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
+                    prune: bool, max_impact: float) -> tuple[list, int, int]:
+    """Enumerate the candidates from every source and keep the best records.
+
+    Returns (the ``top_k`` best records, candidates enumerated, candidates
+    scored). A record is ``(-total, entity count, entity idx tuple, relation
+    idx tuple, f, lf, clc, ip)``; entity and relation indexes follow sorted
+    ids, so records sort in :func:`rank_top_k`'s order.
+
+    The bar is the ``top_k``-th best total among the records kept so far,
+    −∞ until there are ``top_k`` of them. Every record is a real candidate,
+    so the bar never exceeds the final ``top_k``-th total. A candidate below
+    the bar gets no record, and a subtree whose bound is below it is counted
+    by :func:`_count_extensions` instead of scored; both comparisons are
+    strict, so ties at the ``top_k``-th place still go to the tie-breaks.
+    With ``prune`` the θ rule comes first: a subtree whose bound is at most
+    θ is neither scored nor counted.
+    """
+    alpha, beta, gamma = config.alpha, config.beta, config.gamma
+    theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
+    adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
+    trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
+
+    records = []
+    append_record = records.append
+    bar = -math.inf
+    counted = scored = 0
+    for source in index.sources:
+        queue = deque([((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source])])
+        push, pop = queue.append, queue.popleft
+        while queue:
+            path, rels, transitions, impact_sum, docs = pop()
+            depth = len(rels)
+            last_layer = layer[path[-1]]
+            deeper = depth + 1 < d_max
+            n = depth + 2  # entities in the extended path
+            for target, rid, step in adjacency[path[-1]]:
+                if target in path:
                     continue
-                push((new_path, new_rels, new_transitions,
-                      new_impact, new_docs))
-    return heapq.nsmallest(config.top_k, records), count
+                new_transitions = transitions + (layer[target] != last_layer)
+                new_impact = impact_sum + sevcent[target]
+                new_docs = step if docs is None else docs & step
+                if new_transitions >= 2:
+                    scored += 1
+                    f = len(new_docs)
+                    clc = new_transitions / (n - 1)
+                    ip = new_impact / n
+                    # expression kept identical to literature_frequency/combine
+                    lf = 1.0 if f_max == 0 else 1.0 - f / f_max
+                    total = alpha * lf + beta * clc + gamma * ip
+                    if total >= bar and total > theta:
+                        append_record((-total, n, path + (target,), rels + (rid,),
+                                       f, lf, clc, ip))
+                        if len(records) >= trim_at:
+                            records = heapq.nsmallest(top_k, records)
+                            append_record = records.append
+                            bar = -records[-1][0]
+                if deeper:
+                    bound = _extension_bound(n, new_transitions, new_impact,
+                                             config, max_impact)
+                    if prune and bound <= theta:
+                        continue
+                    if bound < bar:
+                        counted += _count_extensions(
+                            path + (target,), new_transitions, new_impact,
+                            index, config, prune, max_impact)
+                        continue
+                    push((path + (target,), rels + (rid,), new_transitions,
+                          new_impact, new_docs))
+    return heapq.nsmallest(top_k, records), counted + scored, scored
 
 
 def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -318,15 +405,18 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
              undirected: bool = False) -> DiscoveryResult:
     """Run the full constrained-BFS discovery and return ranked pathways.
 
-    ``prune`` defaults to on in edge-max mode and is ignored in pathway-max
-    mode, whose ``candidates_enumerated`` counts every candidate.
-    ``workers`` is accepted for compatibility and has no effect: every
-    source runs on the calling thread. The cyclic garbage collector is
-    paused from the index build to the merge (``graph.collector_paused``).
+    Every candidate is either scored or, in a subtree that cannot reach the
+    top k, counted without scoring (``candidates_scored`` tells them apart).
+    ``prune`` turns on the θ rule, which skips subtrees that cannot beat θ
+    and leaves their candidates uncounted; it defaults to on in edge-max
+    mode and is ignored in pathway-max mode, whose ``candidates_enumerated``
+    counts every candidate. ``workers`` is accepted for compatibility and
+    has no effect: every source runs on the calling thread. The cyclic
+    garbage collector is paused while the index is built and traversed
+    (``graph.collector_paused``).
     """
     with collector_paused():
         index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
-        sources = index.sources
         if config.fmax_mode == FMAX_PATHWAY:
             f_max = _pathway_f_max(index, config.d_max)
             prune = False
@@ -335,11 +425,8 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
                                        index.entity_docs)
             prune = prune is None or bool(prune)
         max_impact = max(index.sevcent, default=0.0)
-
-        results = [_source_candidates(source, index, config, f_max, prune, max_impact)
-                   for source in sources]
-        top = heapq.nsmallest(config.top_k,
-                              (record for records, _ in results for record in records))
+        top, enumerated, scored = _top_candidates(index, config, f_max, prune,
+                                                  max_impact)
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),
@@ -351,8 +438,9 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
         pathways=ranked,
         config_echo=config,
         f_max_used=f_max,
-        candidates_enumerated=sum(count for _, count in results),
-        sources_processed=len(sources),
+        candidates_enumerated=enumerated,
+        candidates_scored=scored,
+        sources_processed=len(index.sources),
     )
 
 
@@ -405,5 +493,6 @@ def enumerate_oracle(graph: KnowledgeGraph, corpus_stats: CorpusStats,
         config_echo=config,
         f_max_used=f_max,
         candidates_enumerated=len(candidates),
+        candidates_scored=len(candidates),
         sources_processed=len(sources),
     )

@@ -1,3 +1,4 @@
+import json
 import random
 import threading
 
@@ -17,9 +18,10 @@ from riskpath import (
     pagerank,
     rank_top_k,
 )
+from riskpath import discovery
 from riskpath.discovery import _extension_bound, format_pathways
 from oracle_pagerank import dense_pagerank
-from riskpath.scoring import CentralityScores
+from riskpath.scoring import CentralityScores, combine
 from util import chain_graph, random_graph
 
 DEFAULTS = ScoringConfig()
@@ -287,6 +289,101 @@ class TestOracleEquivalence:
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         got = discover(graph, stats, cent, config, workers=8)
         assert results_equal(got, want)
+
+
+class TestTopKCut:
+    """A subtree that cannot reach the top k is counted, not scored."""
+
+    def test_cut_scores_fewer_candidates_than_it_counts(self):
+        # c9-style: three layers, one doc per edge, about 3.3 relations per entity
+        rng = random.Random(2024)
+        graph, stats = random_graph(rng, 150, 500, n_docs=30, max_docs_per_edge=1)
+        for fmax_mode in ("pathway-max", "edge-max"):
+            config = ScoringConfig(fmax_mode=fmax_mode, top_k=10)
+            cent = pagerank(graph, config)
+            cut = discover(graph, stats, cent, config, prune=False)
+            assert 0 < cut.candidates_scored < cut.candidates_enumerated, fmax_mode
+            every = discover(graph, stats, cent,
+                             config.override(top_k=cut.candidates_enumerated),
+                             prune=False)
+            assert every.candidates_scored == every.candidates_enumerated
+            assert every.candidates_enumerated == cut.candidates_enumerated
+            assert every.pathways[:10] == cut.pathways
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counter_does_not_depend_on_top_k(self, seed):
+        rng = random.Random(5100 + seed)
+        graph, stats = random_graph(rng, rng.randint(20, 40), rng.randint(50, 90))
+        d_max = rng.choice([3, 4])
+        cut_somewhere = False
+        for undirected in (False, True):
+            for fmax_mode in ("pathway-max", "edge-max"):
+                for theta in (0.0, 0.7, 0.85):
+                    config = ScoringConfig(theta_novelty=theta, d_max=d_max,
+                                           fmax_mode=fmax_mode)
+                    cent = pagerank(graph, config)
+                    for prune in (False, True):
+                        results = [discover(graph, stats, cent,
+                                            config.override(top_k=top_k),
+                                            prune=prune, undirected=undirected)
+                                   for top_k in (1, 2, 10, 10**6)]
+                        counts = {r.candidates_enumerated for r in results}
+                        assert len(counts) == 1, (
+                            f"undirected={undirected} mode={fmax_mode} "
+                            f"theta={theta} prune={prune}: {counts}")
+                        cut_somewhere |= (results[0].candidates_scored
+                                          < results[0].candidates_enumerated)
+        assert cut_somewhere
+
+    def test_source_order_does_not_change_output(self, monkeypatch):
+        graphs = [
+            # tie-heavy: IP is 0 and f is 0 or 1
+            random_graph(random.Random(77), 40, 110, n_docs=2,
+                         max_docs_per_edge=1, severity=0.0),
+            random_graph(random.Random(78), 60, 170),
+        ]
+        configs = [ScoringConfig(theta_novelty=0.0, top_k=top_k, fmax_mode=mode)
+                   for top_k in (1, 3, 10) for mode in ("pathway-max", "edge-max")]
+
+        def run():
+            out = []
+            for graph, stats in graphs:
+                for config in configs:
+                    result = discover(graph, stats, pagerank(graph, config), config)
+                    out.append((json.dumps(result.to_json_dict(graph)),
+                                result.candidates_scored))
+            return out
+
+        forward = run()
+        build_index = discovery._GraphIndex.__init__
+
+        def reversed_sources(self, *args, **kwargs):
+            build_index(self, *args, **kwargs)
+            self.sources.reverse()
+
+        monkeypatch.setattr(discovery._GraphIndex, "__init__", reversed_sources)
+        backward = run()
+        assert [payload for payload, _ in backward] == [payload for payload, _ in forward]
+        # the reversed order did reach the cut: it scored other subtrees
+        assert [scored for _, scored in backward] != [scored for _, scored in forward]
+
+    def test_bound_covers_extensions_summed_hop_by_hop(self):
+        # the traversal adds one entity's impact at a time; a bound that
+        # multiplied max_impact by the hop count could round below that sum
+        rng = random.Random(11)
+        for _ in range(5000):
+            max_impact = rng.random()
+            n = rng.randint(2, DEFAULTS.d_max)
+            transitions = rng.randint(0, n - 1)
+            impact = 0.0
+            for _ in range(n):
+                impact += max_impact if rng.random() < 0.5 else rng.random() * max_impact
+            bound = _extension_bound(n, transitions, impact, DEFAULTS, max_impact)
+            for hops in range(1, DEFAULTS.d_max - n + 2):
+                impact += max_impact
+                m = n + hops
+                total = combine(1.0, (transitions + hops) / (m - 1), impact / m, DEFAULTS)
+                assert total <= bound, (n, transitions, hops)
 
 
 class TestMonotonicity:
