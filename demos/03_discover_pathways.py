@@ -3,7 +3,7 @@
 
 Generates 1,000 documents (8-15 relations each) with one planted 5-entity
 cross-layer chain attested by a single document, ingests them, computes
-PageRank centrality, and runs the constrained breadth-first discovery with
+PageRank centrality, and runs the constrained depth-first discovery with
 stock parameters (weights 0.5/0.3/0.2, threshold 0.7, depth cap 5). The
 planted chain should surface in the top ranks.
 """

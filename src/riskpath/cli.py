@@ -30,7 +30,7 @@ from .pipeline import (
     resume as pipeline_resume,
     run as pipeline_run,
 )
-from .scoring import CentralityScores, ScoringConfig, pagerank
+from .scoring import CentralityScores, ScoringConfig, pagerank, pagerank_stamp
 from .syngen import GenSpec, PlantedChain, generate, write_corpus
 
 logger = logging.getLogger("riskpath")
@@ -175,7 +175,8 @@ def cmd_discover(args) -> int:
     if pr_path.exists():
         centrality = CentralityScores.from_dict(
             _load_json_object(pr_path, "pagerank scores"))
-        if set(centrality.scores) != set(graph.entities):
+        if (set(centrality.scores) != set(graph.entities)
+                or centrality.stamp != pagerank_stamp(graph, config)):
             logger.warning("pagerank.json does not match the graph; recomputing")
             centrality = pagerank(graph, config)
     else:

@@ -1,7 +1,7 @@
-"""Constrained breadth-first discovery of cross-layer risk pathways.
+"""Constrained depth-first discovery of cross-layer risk pathways.
 
 Starting from every physical-layer entity, all simple directed pathways of
-edge length 1..d_max are enumerated breadth-first; those crossing layers at
+edge length 1..d_max are enumerated depth-first; those crossing layers at
 least twice are candidates, and the ones exceeding the novelty threshold are
 ranked deterministically. ``enumerate_oracle`` is a deliberately naive
 exhaustive re-implementation (recursive DFS over the public graph API, no
@@ -15,22 +15,20 @@ best total so far. Two cuts compare ``_extension_bound``, an admissible
 upper bound on the total of any extension of a pathway, with a threshold:
 
 - the bar cut, always on: a subtree whose bound is below the bar cannot
-  reach the top k, so its candidates are counted (``_count_extensions``)
-  but not scored;
+  reach the top k, so the same walk counts its candidates but scores none;
 - the θ rule, in edge-max mode with ``prune`` only: a subtree whose bound is
   at most θ is skipped, and its candidates go uncounted.
 
-Neither cut changes the returned pathways. ``candidates_enumerated``, a
-diagnostic counter, counts every candidate except those under the θ rule,
-whatever ``top_k`` and the order of the sources; ``candidates_scored``
-counts the ones that were scored.
+Neither cut changes the returned pathways, and neither does the order of
+the walk. ``candidates_enumerated``, a diagnostic counter, counts every
+candidate except those under the θ rule, whatever ``top_k`` and the order
+of the sources; ``candidates_scored`` counts the ones that were scored.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -221,7 +219,7 @@ class _GraphIndex:
     ``entities`` mode, the target's. ``entity_docs`` (the entity doc index)
     and each ``start_docs`` entry are None in ``docs`` mode. ``targets`` and
     ``cross_targets`` list each entity's adjacency targets, all of them and
-    those on another layer, for :func:`_count_extensions`.
+    those on another layer, to count a pathway's last hop.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -286,47 +284,6 @@ def _pathway_f_max(index: _GraphIndex, d_max: int) -> int:
     return best
 
 
-def _count_extensions(path: tuple[int, ...], transitions: int, impact_sum: float,
-                      index: _GraphIndex, config: ScoringConfig, prune: bool,
-                      max_impact: float) -> int:
-    """Count the candidates among the strict extensions of ``path``, unscored.
-
-    The walk of :func:`_top_candidates` without doc sets, relation tuples or
-    scores: an extension is a candidate when it crosses layers twice, and
-    with ``prune`` the θ rule skips the same subtrees. The last hop is
-    counted from the last entity's target tuple (its cross-layer one when
-    the pathway has crossed layers once), less the targets already on the
-    pathway.
-    """
-    d_max, theta = config.d_max, config.theta_novelty
-    layer, sevcent = index.layer, index.sevcent
-    targets, cross_targets = index.targets, index.cross_targets
-    count = 0
-    stack = [(path, transitions, impact_sum)]
-    while stack:
-        path, transitions, impact_sum = stack.pop()
-        last = path[-1]
-        n = len(path) + 1  # entities in a one-hop extension
-        if n > d_max:
-            if transitions:
-                last_hop = targets[last] if transitions >= 2 else cross_targets[last]
-                count += len(last_hop) - sum(map(last_hop.count, path))
-            continue
-        last_layer = layer[last]
-        for target in targets[last]:
-            if target in path:
-                continue
-            new_transitions = transitions + (layer[target] != last_layer)
-            if new_transitions >= 2:
-                count += 1
-            new_impact = impact_sum + sevcent[target]
-            if prune and _extension_bound(n, new_transitions, new_impact,
-                                          config, max_impact) <= theta:
-                continue
-            stack.append((path + (target,), new_transitions, new_impact))
-    return count
-
-
 def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
                     prune: bool, max_impact: float) -> tuple[list, int, int]:
     """Enumerate the candidates from every source and keep the best records.
@@ -336,38 +293,51 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
     idx tuple, f, lf, clc, ip)``; entity and relation indexes follow sorted
     ids, so records sort in :func:`rank_top_k`'s order.
 
+    One depth-first walk over one stack covers all the sources. A frame is
+    ``(path, rels, transitions, impact sum, docs)``; a count-only frame has
+    ``rels`` and ``docs`` None, and its candidates are counted, not scored.
+    A count-only subtree whose extensions are all last hops is not pushed:
+    its candidates are counted from the last entity's ``targets`` (its
+    ``cross_targets`` when the pathway has crossed layers once), less the
+    targets already on the pathway.
+
     The bar is the ``top_k``-th best total among the records kept so far,
     −∞ until there are ``top_k`` of them. Every record is a real candidate,
     so the bar never exceeds the final ``top_k``-th total. A candidate below
-    the bar gets no record, and a subtree whose bound is below it is counted
-    by :func:`_count_extensions` instead of scored; both comparisons are
-    strict, so ties at the ``top_k``-th place still go to the tie-breaks.
-    With ``prune`` the θ rule comes first: a subtree whose bound is at most
-    θ is neither scored nor counted.
+    the bar gets no record, and a subtree whose bound is below it goes on
+    the stack count-only; both comparisons are strict, so ties at the
+    ``top_k``-th place still go to the tie-breaks. With ``prune`` the θ rule
+    comes first, in both kinds of frame: a subtree whose bound is at most θ
+    is neither scored nor counted. Without ``prune`` a count-only frame
+    computes no bound at all.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
+    targets, cross_targets = index.targets, index.cross_targets
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
 
     records = []
     append_record = records.append
     bar = -math.inf
     counted = scored = 0
-    for source in index.sources:
-        queue = deque([((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source])])
-        push, pop = queue.append, queue.popleft
-        while queue:
-            path, rels, transitions, impact_sum, docs = pop()
-            depth = len(rels)
-            last_layer = layer[path[-1]]
-            deeper = depth + 1 < d_max
-            n = depth + 2  # entities in the extended path
-            for target, rid, step in adjacency[path[-1]]:
-                if target in path:
-                    continue
-                new_transitions = transitions + (layer[target] != last_layer)
-                new_impact = impact_sum + sevcent[target]
+    stack = [((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source])
+             for source in reversed(index.sources)]  # popped in source order
+    push, pop = stack.append, stack.pop
+    while stack:
+        path, rels, transitions, impact_sum, docs = pop()
+        last = path[-1]
+        n = len(path) + 1  # entities in a one-hop extension
+        deeper = n <= d_max  # a one-hop extension can be extended again
+        last_layer = layer[last]
+        for target, rid, step in adjacency[last]:
+            if target in path:
+                continue
+            new_transitions = transitions + (layer[target] != last_layer)
+            new_impact = impact_sum + sevcent[target]
+            if rels is None:
+                counted += new_transitions >= 2
+            else:
                 new_docs = step if docs is None else docs & step
                 if new_transitions >= 2:
                     scored += 1
@@ -384,18 +354,22 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
                             records = heapq.nsmallest(top_k, records)
                             append_record = records.append
                             bar = -records[-1][0]
-                if deeper:
-                    bound = _extension_bound(n, new_transitions, new_impact,
-                                             config, max_impact)
-                    if prune and bound <= theta:
-                        continue
-                    if bound < bar:
-                        counted += _count_extensions(
-                            path + (target,), new_transitions, new_impact,
-                            index, config, prune, max_impact)
-                        continue
-                    push((path + (target,), rels + (rid,), new_transitions,
-                          new_impact, new_docs))
+            if not deeper:
+                continue
+            if prune or rels is not None:
+                bound = _extension_bound(n, new_transitions, new_impact,
+                                         config, max_impact)
+                if prune and bound <= theta:
+                    continue
+            if rels is not None and bound >= bar:
+                push((path + (target,), rels + (rid,), new_transitions,
+                      new_impact, new_docs))
+            elif n < d_max:
+                push((path + (target,), None, new_transitions, new_impact, None))
+            elif new_transitions:
+                last_hop = targets[target] if new_transitions >= 2 else cross_targets[target]
+                counted += (len(last_hop) - sum(map(last_hop.count, path))
+                            - last_hop.count(target))
     return heapq.nsmallest(top_k, records), counted + scored, scored
 
 
@@ -403,7 +377,7 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
              centrality: CentralityScores, config: ScoringConfig,
              workers: int = 1, prune: bool | None = None,
              undirected: bool = False) -> DiscoveryResult:
-    """Run the full constrained-BFS discovery and return ranked pathways.
+    """Run the full constrained depth-first discovery; return ranked pathways.
 
     Every candidate is either scored or, in a subtree that cannot reach the
     top k, counted without scoring (``candidates_scored`` tells them apart).

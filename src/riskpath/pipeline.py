@@ -369,7 +369,8 @@ def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
 
 def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     graph = load_snapshot(workdir / "graph.rpkg")
-    centrality = CentralityScores.from_dict(_load_json(workdir / "pagerank.json"))
+    centrality = CentralityScores.from_dict(
+        _load_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
                       workers=config.workers, prune=config.prune,
                       undirected=config.undirected)

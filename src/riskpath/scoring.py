@@ -17,6 +17,7 @@ uniform redistribution of dangling-node mass.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sys
@@ -145,12 +146,17 @@ class ScoringConfig:
 
 @dataclass(frozen=True)
 class CentralityScores:
-    """Raw (sums to 1) and max-normalized PageRank per entity id."""
+    """Raw (sums to 1) and max-normalized PageRank per entity id.
+
+    ``stamp`` is :func:`pagerank_stamp` of the graph and settings the scores
+    were computed from (None when unknown), so stale scores can be told apart.
+    """
 
     scores: dict[str, float]
     normalized: dict[str, float]
     iterations_used: int
     converged: bool
+    stamp: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -158,6 +164,7 @@ class CentralityScores:
             "normalized": dict(sorted(self.normalized.items())),
             "iterations_used": self.iterations_used,
             "converged": self.converged,
+            "stamp": self.stamp,
         }
 
     @classmethod
@@ -167,14 +174,16 @@ class CentralityScores:
         try:
             scores, normalized = dict(data["scores"]), dict(data["normalized"])
             iterations_used, converged = data["iterations_used"], data["converged"]
+            stamp = data.get("stamp")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScoringError(f"centrality scores: missing or malformed {exc}") from None
         if (not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0  # false for NaN
                     for v in [*scores.values(), *normalized.values()])
-                or type(iterations_used) is not int or not isinstance(converged, bool)):
+                or type(iterations_used) is not int or not isinstance(converged, bool)
+                or not (stamp is None or isinstance(stamp, dict))):
             raise ScoringError("centrality scores: ill-typed value or a score "
                                "outside [0, 1]")
-        return cls(scores, normalized, iterations_used, converged)
+        return cls(scores, normalized, iterations_used, converged, stamp)
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,19 @@ class ScoreBreakdown:
     clc: float
     ip: float
     total: float
+
+
+def pagerank_stamp(graph: KnowledgeGraph, config: ScoringConfig) -> dict:
+    """All that :func:`pagerank` reads besides the entity ids: its three
+    settings and a sha256 of the ``(relation id, source, target)`` rows in id
+    order, the graph's iteration order. Rows are hashed one at a time, so
+    the stamp holds no copy of the graph; quoted by ``repr``, the ids run
+    together without ambiguity."""
+    digest = hashlib.sha256()
+    for rel in graph.relations.values():
+        digest.update(f"{rel.id!r}{rel.source!r}{rel.target!r}".encode())
+    return {"damping": config.damping, "pr_tolerance": config.pr_tolerance,
+            "pr_max_iters": config.pr_max_iters, "relations_sha256": digest.hexdigest()}
 
 
 def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
@@ -235,7 +257,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     scores = {eid: float(rank[i]) for i, eid in enumerate(ids)}
     normalized = {eid: float(rank[i] / peak) for i, eid in enumerate(ids)}
     return CentralityScores(scores=scores, normalized=normalized,
-                            iterations_used=iterations, converged=converged)
+                            iterations_used=iterations, converged=converged,
+                            stamp=pagerank_stamp(graph, config))
 
 
 def entity_doc_index(graph: KnowledgeGraph) -> dict[str, frozenset[str]]:

@@ -27,6 +27,7 @@ from pathlib import Path
 from .errors import GenerationError
 from .graph import Layer
 from .ingest import relation_id
+from .scoring import check_field_types
 
 PREDICATES = ("increases", "disrupts", "reduces", "strains",
               "triggers", "amplifies", "depletes", "elevates")
@@ -66,7 +67,11 @@ class PlantedChain:
                            for part in spec.split(",") if part.strip())
         except (KeyError, IndexError):
             raise GenerationError(f"cannot parse chain layers from {text!r}") from None
-        return cls(layers=layers, attestations=int(count) if count else 1)
+        try:
+            attestations = int(count) if count else 1
+        except ValueError:
+            raise GenerationError(f"attestation count in {text!r} is not an integer") from None
+        return cls(layers=layers, attestations=attestations)
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,7 @@ class GenSpec:
     malformed_rate: float = 0.0        # garbage lines injected into triples file
 
     def __post_init__(self):
+        check_field_types(self)
         if not isinstance(self.relations_per_doc, tuple):
             object.__setattr__(self, "relations_per_doc",
                                tuple(self.relations_per_doc))
@@ -106,6 +112,10 @@ class GenSpec:
             raise GenerationError("malformed_rate must be in [0, 1)")
         if self.common_chains < 0:
             raise GenerationError("common_chains must be non-negative")
+        if self.popularity_skew < 0:
+            raise GenerationError("popularity_skew must be non-negative")
+        if not 0.0 <= self.planted_severity <= 1.0:
+            raise GenerationError("planted_severity must be in [0, 1]")
         for chain in self.planted_chains:
             if len(chain.layers) - 1 > hi:
                 raise GenerationError(
@@ -282,7 +292,12 @@ def generate(spec: GenSpec) -> GenResult:
             chain_of_doc[i] = chain
 
     # per-document fill: popularity-skewed sampling over the pool
-    weights = [1.0 / (i + 1) ** spec.popularity_skew for i in range(len(pool))]
+    try:
+        weights = [1.0 / (i + 1) ** spec.popularity_skew for i in range(len(pool))]
+    except OverflowError:
+        raise GenerationError(
+            f"popularity_skew {spec.popularity_skew} is too large for a pool of "
+            f"{len(pool)} edges") from None
     cum_weights = []
     running = 0.0
     for w in weights:

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from riskpath import (
     Layer,
     PlantedChain,
     ScoringConfig,
+    build_graph,
     discover,
     enumerate_oracle,
     load_snapshot,
@@ -244,6 +246,41 @@ class TestDiscoverCommand:
         assert main(["discover", str(workdir)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def _discover_recomputes(self, workdir, capsys, caplog):
+        capsys.readouterr()
+        caplog.clear()
+        code, payload = run_json(capsys, ["discover", str(workdir), "--format", "json"])
+        assert code == 0
+        assert "pagerank.json does not match the graph; recomputing" in [
+            r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        graph = load_snapshot(workdir / "graph.rpkg")
+        config = ScoringConfig()
+        expected = discover(graph, CorpusStats.from_graph(graph),
+                            pagerank(graph, config), config).to_json_dict(graph)
+        assert payload == expected
+
+    def test_pagerank_json_for_other_damping_is_not_reused(self, workdir, capsys, caplog):
+        assert main(["pagerank", str(workdir), "--damping", "0.5"]) == 0
+        self._discover_recomputes(workdir, capsys, caplog)
+
+    def test_pagerank_json_for_other_relations_is_not_reused(self, workdir, capsys,
+                                                             caplog):
+        assert main(["pagerank", str(workdir)]) == 0
+        graph = load_snapshot(workdir / "graph.rpkg")
+        relations = list(graph.relations.values())
+        # the same entities, one relation reversed
+        first = relations[0]
+        relations[0] = replace(first, source=first.target, target=first.source)
+        save_snapshot(build_graph(list(graph.entities.values()), relations),
+                      workdir / "graph.rpkg")
+        self._discover_recomputes(workdir, capsys, caplog)
+
+    def test_pagerank_json_for_the_graph_is_reused(self, workdir, capsys, caplog):
+        assert main(["pagerank", str(workdir)]) == 0
+        caplog.clear()
+        assert main(["discover", str(workdir)]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
     def test_leftover_corpus_stats_is_never_read(self, workdir, capsys):
         code, expected = run_json(capsys, ["discover", str(workdir),
                                            "--format", "json"])
@@ -356,6 +393,23 @@ class TestSyngenCommand:
         assert (tmp_path / "c" / "triples.jsonl").exists()
         assert manifest["counts"]["docs"] == 20
         assert manifest["chains"][0]["attestations"] == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--chain", "P,S:abc"],
+        ["--chain", "P,S:1.5"],
+        ["--popularity-skew", "nan"],
+        ["--popularity-skew", "-1"],
+        ["--popularity-skew", "1000"],
+        ["--planted-severity", "2"],
+        ["--planted-severity", "-0.1"],
+    ])
+    def test_bad_spec_exit_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "c"
+        code = main(["syngen", "--docs", "20", "--entities-per-layer", "20",
+                     "--out", str(out)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "triples.jsonl").exists()
 
 
 class TestPipelineCommand:

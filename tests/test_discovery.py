@@ -9,6 +9,7 @@ from riskpath import (
     DiscoveryError,
     Layer,
     Pathway,
+    Relation,
     ScoreBreakdown,
     ScoringConfig,
     build_graph,
@@ -194,6 +195,7 @@ class TestPruning:
             assert got.pathways == oracle.pathways == []
 
     def test_prune_on_off_identical_results(self):
+        cut_somewhere = False
         for seed in range(12):
             rng = random.Random(9000 + seed)
             graph, stats = random_graph(rng, 50, 140)
@@ -207,6 +209,9 @@ class TestPruning:
             assert on.f_max_used == off.f_max_used
             # pruning may only ever skip candidates, never add
             assert on.candidates_enumerated <= off.candidates_enumerated
+            cut_somewhere |= on.candidates_enumerated < off.candidates_enumerated
+        # a θ rule that never fires would pass every check above
+        assert cut_somewhere
 
 
 class TestOracleEquivalence:
@@ -334,6 +339,29 @@ class TestTopKCut:
                         cut_somewhere |= (results[0].candidates_scored
                                           < results[0].candidates_enumerated)
         assert cut_somewhere
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counter_with_self_loops_matches_oracle(self, seed):
+        # a self-loop is an adjacency target no simple pathway can take
+        rng = random.Random(5200 + seed)
+        base, _ = random_graph(rng, 30, 80)
+        loops = [Relation(id=f"loop{i:03d}", source=eid, predicate="feeds",
+                          target=eid, doc_ids=frozenset({"d000"}))
+                 for i, eid in enumerate(rng.sample(sorted(base.entities), 12))]
+        graph = build_graph(list(base.entities.values()),
+                            list(base.relations.values()) + loops)
+        stats = CorpusStats.from_graph(graph)
+        for undirected in (False, True):
+            for fmax_mode in ("pathway-max", "edge-max"):
+                config = ScoringConfig(fmax_mode=fmax_mode, d_max=4, top_k=1)
+                cent = pagerank(graph, config)
+                oracle = enumerate_oracle(graph, stats, cent, config,
+                                          undirected=undirected)
+                got = discover(graph, stats, cent, config, prune=False,
+                               undirected=undirected)
+                assert got.pathways == oracle.pathways
+                assert got.candidates_enumerated == oracle.candidates_enumerated
+                assert got.candidates_scored < got.candidates_enumerated
 
     def test_source_order_does_not_change_output(self, monkeypatch):
         graphs = [

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from riskpath import (
     pagerank,
     pathway_frequency,
 )
-from riskpath.scoring import entity_doc_index
+from riskpath.scoring import entity_doc_index, pagerank_stamp
 from oracle_pagerank import dense_pagerank
 from util import chain_graph, make_entity, random_graph
 
@@ -148,6 +149,17 @@ class TestCentralityScoresFromDict:
         centrality = fake_centrality({"a": 1.0, "b": 0.5})
         assert CentralityScores.from_dict(centrality.to_dict()) == centrality
 
+    def test_stamp_round_trips_and_may_be_absent(self):
+        graph, _ = chain_graph([Layer.PHYSICAL, Layer.SOCIAL])
+        config = ScoringConfig(damping=0.5)
+        centrality = pagerank(graph, config)
+        assert centrality.stamp == pagerank_stamp(graph, config)
+        assert centrality.stamp["damping"] == 0.5
+        data = json.loads(json.dumps(centrality.to_dict()))
+        assert CentralityScores.from_dict(data) == centrality
+        del data["stamp"]
+        assert CentralityScores.from_dict(data).stamp is None
+
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("normalized"),
         lambda d: d.pop("converged"),
@@ -159,9 +171,10 @@ class TestCentralityScoresFromDict:
         lambda d: d["normalized"].update(a=float("nan")),
         lambda d: d["normalized"].update(b=-5.0),
         lambda d: d["scores"].update(b=1.5),
+        lambda d: d.update(stamp=["damping", 0.85]),
     ], ids=["no-normalized", "no-converged", "scores-list", "string-score",
             "string-iterations", "string-converged", "infinite-score", "nan-score",
-            "negative-score", "score-above-one"])
+            "negative-score", "score-above-one", "stamp-list"])
     def test_missing_or_ill_typed_key_is_scoring_error(self, edit):
         data = fake_centrality({"a": 1.0, "b": 0.5}).to_dict()
         edit(data)

@@ -11,6 +11,7 @@ from riskpath import (
     Pathway,
     PlantedChain,
     RawTriple,
+    RiskPathError,
     aggregate,
     build_graph,
     generate,
@@ -77,6 +78,28 @@ class TestGenSpecValidation:
         assert PlantedChain.parse("physical,social").attestations == 1
         with pytest.raises(GenerationError):
             PlantedChain.parse("P,X")
+        assert PlantedChain.parse("P,S:").attestations == 1
+        for text in ("P,S:abc", "P,S:1.5"):
+            with pytest.raises(GenerationError, match="not an integer"):
+                PlantedChain.parse(text)
+
+    @pytest.mark.parametrize("overrides", [
+        {"popularity_skew": float("nan")},
+        {"background_noise": float("inf")},
+        {"n_docs": True},
+        {"seed": 1.5},
+        {"popularity_skew": -0.5},
+        {"planted_severity": 1.5},
+        {"planted_severity": -0.1},
+    ], ids=["nan-skew", "inf-noise", "bool-docs", "float-seed", "negative-skew",
+            "severity-above-one", "negative-severity"])
+    def test_field_invariants(self, overrides):
+        with pytest.raises(RiskPathError):
+            small_spec(**overrides)
+
+    def test_skew_too_large_for_pool(self):
+        with pytest.raises(GenerationError, match="popularity_skew"):
+            generate(small_spec(popularity_skew=1000.0))
 
 
 class TestGeneration:
