@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
-from .errors import RiskPathError
+from .errors import ConfigError, RiskPathError
 from .graph import KnowledgeGraph, Layer, load_snapshot
 from .ingest import TRIPLES_FORMATS, CorpusStats
 from .pipeline import (
@@ -148,6 +148,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pagerank(args) -> int:
+    if args.top < 0:
+        raise ConfigError(f"--top must be non-negative, got {args.top}")
     workdir = _resolve_workdir(args.workdir)
     graph = _load_graph(workdir)
     config = _scoring_config(args)

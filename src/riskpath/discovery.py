@@ -214,12 +214,15 @@ def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
 class _GraphIndex:
     """Dense integer view of the graph for the traversal hot loop.
 
-    Adjacency entries are ``(target, relation, step_docs)``: a hop keeps the
-    pathway's docs that are in ``step_docs``, the relation's docs or, in
-    ``entities`` mode, the target's. ``entity_docs`` (the entity doc index)
-    and each ``start_docs`` entry are None in ``docs`` mode. ``targets`` and
-    ``cross_targets`` list each entity's adjacency targets, all of them and
-    those on another layer, to count a pathway's last hop.
+    The graph holds no adjacency index; this one lists each relation, in id
+    order, under its source and, undirected, under its target (a self-loop
+    once). Walk order never reaches the output. Adjacency entries are
+    ``(target, relation, step_docs)``: a hop keeps the pathway's docs that
+    are in ``step_docs``, the relation's docs or, in ``entities`` mode, the
+    target's. ``entity_docs`` (the entity doc index) and each ``start_docs``
+    entry are None in ``docs`` mode. ``targets`` and ``cross_targets`` list
+    each entity's adjacency targets, all of them and those on another layer,
+    to count a pathway's last hop.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -233,20 +236,19 @@ class _GraphIndex:
         except KeyError as exc:
             raise DiscoveryError(f"centrality missing entity {exc}") from None
         self.relation_ids = list(graph.relations)
-        rel_index = {rid: i for i, rid in enumerate(self.relation_ids)}
         by_entity = self.entity_docs = (
             entity_doc_index(graph) if freq_mode == FREQ_ENTITIES else None)
         self.start_docs = [None if by_entity is None else by_entity[eid]
                            for eid in self.entity_ids]
         edge_docs = corpus_stats.edge_doc_index
-        try:
-            self.adjacency = [
-                [(index[other], rel_index[rid],
-                  edge_docs[rid] if by_entity is None else by_entity[other])
-                 for rid, other in graph.out_neighbors(eid, undirected=undirected)]
-                for eid in self.entity_ids]
-        except KeyError as exc:
-            raise DiscoveryError(f"corpus stats missing relation {exc}") from None
+        if by_entity is None and (missing := graph.relations.keys() - edge_docs.keys()):
+            raise DiscoveryError(f"corpus stats missing relation {min(missing)!r}")
+        adjacency = self.adjacency = [[] for _ in self.entity_ids]
+        for r, rel in enumerate(graph.relations.values()):
+            a, b = index[rel.source], index[rel.target]
+            for here, there in ((a, b), (b, a)) if undirected and a != b else ((a, b),):
+                adjacency[here].append((there, r, edge_docs[rel.id] if by_entity is None
+                                        else self.start_docs[there]))
         self.targets = [tuple(target for target, _, _ in adj) for adj in self.adjacency]
         self.cross_targets = [
             tuple(target for target in targets if layer[target] != layer[entity])
@@ -424,12 +426,14 @@ def enumerate_oracle(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     """Exhaustive DFS reference implementation over the public graph API.
 
     No pruning and no shared traversal machinery with ``discover``; scoring
-    composes the public per-component operations. The caller is responsible
-    for keeping the graph small enough to enumerate.
+    composes the public per-component operations. ``out_neighbors`` scans
+    every relation, so it is called once per entity, up front. The caller
+    is responsible for keeping the graph small enough to enumerate.
     """
     entity_docs = None
     if config.freq_mode == FREQ_ENTITIES:
         entity_docs = entity_doc_index(graph)
+    neighbors = {eid: graph.out_neighbors(eid, undirected=undirected) for eid in graph.entities}
 
     candidates: list[tuple[Pathway, int, float, float]] = []
     sources = [eid for eid, entity in graph.entities.items()
@@ -438,7 +442,7 @@ def enumerate_oracle(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     def extend(entities: tuple[str, ...], relations: tuple[str, ...]) -> None:
         if len(relations) >= config.d_max:
             return
-        for rid, neighbor in graph.out_neighbors(entities[-1], undirected=undirected):
+        for rid, neighbor in neighbors[entities[-1]]:
             if neighbor in entities:
                 continue
             pathway = Pathway(entities + (neighbor,), relations + (rid,))

@@ -1,4 +1,4 @@
-"""Typed, immutable-after-build knowledge graph with one adjacency index.
+"""Typed, immutable-after-build knowledge graph of entities and relations.
 
 Entities live on one of three layers (physical / social / economic), relations
 are directed labeled edges carrying document provenance and optional temporal
@@ -17,10 +17,10 @@ ASCII escapes)::
 
 Records are in id order, aliases and doc ids sorted, phases in ``Phase``
 order; layers and phases are stored by value. The same graph always gives
-the same bytes. The adjacency index is not stored: ``load_snapshot``
-derives it through ``build_graph``, which also checks every
-cross-reference. Any truncation, trailing bytes, ill-typed or misordered
-record, or repeated triple raises SnapshotError.
+the same bytes. The graph holds no adjacency index to store: ``load_snapshot``
+rebuilds it through ``build_graph``, which checks every cross-reference.
+Any truncation, trailing bytes, ill-typed or misordered record, or repeated
+triple raises SnapshotError.
 
 Loading pauses CPython's cyclic garbage collector (``collector_paused``).
 Decoding and building allocate several container objects per record, and
@@ -162,18 +162,16 @@ class GraphStats:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Entity/relation store with one adjacency index. Read-only after build.
+    """Entity/relation store. Read-only after build.
 
     Iteration order of ``entities`` and ``relations`` is sorted by id, so any
-    derived computation is deterministic. ``adjacency`` maps each entity id
-    to the ids of its incident relations: each relation is listed under its
-    source and under its target (once for a self-loop), sorted by (other
-    endpoint id, predicate, relation id).
+    derived computation is deterministic. The graph holds no adjacency
+    index: ``out_neighbors`` computes an entity's neighbors on demand, and
+    discovery builds its own index in one scan of ``relations``.
     """
 
     entities: dict[str, Entity]
     relations: dict[str, Relation]
-    adjacency: dict[str, tuple[str, ...]]
     doc_count: int
 
     def entity(self, entity_id: str) -> Entity:
@@ -193,19 +191,15 @@ class KnowledgeGraph:
 
         Directed mode follows edge direction; undirected mode also follows
         inbound edges, to their source, so each incident relation appears
-        once. Order is deterministic: sorted by (neighbor id, predicate,
-        relation id), the order of ``adjacency``.
+        once (a self-loop too). Order is deterministic: sorted by (neighbor
+        id, predicate, relation id). Each call scans every relation.
         """
         if entity_id not in self.entities:
             raise UnknownEntityError(f"unknown entity id {entity_id!r}")
-        pairs = []
-        for rid in self.adjacency[entity_id]:
-            rel = self.relations[rid]
-            if rel.source == entity_id:
-                pairs.append((rid, rel.target))
-            elif undirected:
-                pairs.append((rid, rel.source))
-        return pairs
+        keys = sorted((r.target if r.source == entity_id else r.source, r.predicate, r.id)
+                      for r in self.relations.values()
+                      if r.source == entity_id or undirected and r.target == entity_id)
+        return [(rid, other) for other, _, rid in keys]
 
     def stats(self) -> GraphStats:
         layer_counts = {layer: 0 for layer in Layer}
@@ -224,7 +218,7 @@ class KnowledgeGraph:
 
 def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
                 doc_count: int | None = None) -> KnowledgeGraph:
-    """Validate and index entities/relations into an immutable graph.
+    """Validate entities/relations into an immutable graph.
 
     Duplicate (source, predicate, target) triples are merged: doc_ids and
     phases are unioned and the lexicographically smallest id is kept, so the
@@ -263,17 +257,6 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
     entity_map = dict(sorted(entity_map.items()))
     relation_map = {rel.id: rel for rel in sorted(merged.values(), key=lambda r: r.id)}
 
-    incident: dict[str, list[Relation]] = {eid: [] for eid in entity_map}
-    for rel in relation_map.values():
-        incident[rel.source].append(rel)
-        if rel.target != rel.source:
-            incident[rel.target].append(rel)
-    adjacency = {}
-    for eid, rels in incident.items():  # one entity's sort keys alive at a time
-        keys = sorted((r.target if r.source == eid else r.source, r.predicate, r.id)
-                      for r in rels)
-        adjacency[eid] = tuple([rid for _, _, rid in keys])
-
     seen_docs = set()
     for rel in relation_map.values():
         seen_docs |= rel.doc_ids
@@ -287,7 +270,6 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
     return KnowledgeGraph(
         entities=entity_map,
         relations=relation_map,
-        adjacency=adjacency,
         doc_count=doc_count,
     )
 

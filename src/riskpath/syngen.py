@@ -114,6 +114,8 @@ class GenSpec:
             raise GenerationError("common_chains must be non-negative")
         if self.popularity_skew < 0:
             raise GenerationError("popularity_skew must be non-negative")
+        if self.background_noise < 0:
+            raise GenerationError("background_noise must be non-negative")
         if not 0.0 <= self.planted_severity <= 1.0:
             raise GenerationError("planted_severity must be in [0, 1]")
         for chain in self.planted_chains:
@@ -251,6 +253,15 @@ def generate(spec: GenSpec) -> GenResult:
         raise GenerationError(
             f"background pool of {len(pool) + noise_target} edges cannot fill "
             f"documents of up to {hi} relations; raise background_noise")
+    # distinct edges the sampler below can draw: from each of the 3n entities to
+    # another on its layer (n - 1) or on the other two (2n), as the bias allows
+    allowed = {True: spec.same_layer_bias > 0, False: spec.same_layer_bias < 1}
+    n = spec.entities_per_layer
+    formable = len(PREDICATES) * 3 * n * (allowed[True] * (n - 1) + allowed[False] * 2 * n)
+    formable -= sum(allowed[layer_of[a] is layer_of[b]] for a, _, b in pool_set | planted_edges)
+    if noise_target > formable:
+        raise GenerationError(f"background_noise {spec.background_noise} asks for {noise_target} "
+                              f"distinct noise edges; the entity pool can form {formable}")
     attempts = 0
     max_attempts = 80 * max(noise_target, 1)
     other_layers = {layer: [l for l in Layer if l is not layer] for layer in Layer}

@@ -1,5 +1,7 @@
 import json
 import logging
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,7 @@ from riskpath import (
 from riskpath.cli import main
 from riskpath.pipeline import PipelineConfig, run
 from riskpath.syngen import generate, write_corpus
-from util import TEMPORAL_REFERENCE_CELLS, temporal_reference_graph
+from util import TEMPORAL_REFERENCE_CELLS, subprocess_env, temporal_reference_graph
 
 CHAIN = PlantedChain((Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC), attestations=1)
 
@@ -161,6 +163,13 @@ class TestPagerankCommand:
         assert payload == expected
         stored = json.loads((workdir / "pagerank.json").read_text())
         assert stored == expected
+
+    def test_negative_top_exit_one(self, workdir, capsys):
+        assert main(["pagerank", str(workdir), "--top", "-440"]) == 1
+        assert capsys.readouterr().err.startswith("error: --top")
+        assert not (workdir / "pagerank.json").exists()
+        assert main(["pagerank", str(workdir), "--top", "0"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1  # the status line only
 
 
 class TestDiscoverCommand:
@@ -402,6 +411,7 @@ class TestSyngenCommand:
         ["--popularity-skew", "1000"],
         ["--planted-severity", "2"],
         ["--planted-severity", "-0.1"],
+        ["--background-noise", "-0.01"],
     ])
     def test_bad_spec_exit_one(self, tmp_path, capsys, flags):
         out = tmp_path / "c"
@@ -410,6 +420,16 @@ class TestSyngenCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "triples.jsonl").exists()
+
+    def test_noise_beyond_formable_edges_exit_one(self, tmp_path):
+        # the noise sampler used to draw forever for a pool it cannot form
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskpath.cli", "syngen", "--docs", "20",
+             "--background-noise", "1e9", "--out", str(tmp_path / "c")],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: background_noise")
+        assert not (tmp_path / "c" / "triples.jsonl").exists()
 
 
 class TestPipelineCommand:

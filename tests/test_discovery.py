@@ -132,6 +132,31 @@ class TestDiscoverBasics:
             assert breakdown.total > config.theta_novelty
 
 
+class TestGraphIndexErrors:
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_corpus_stats_missing_relation(self, undirected):
+        graph, stats = random_graph(random.Random(5), 20, 40)
+        missing = list(graph.relations)[-1]
+        partial = CorpusStats(stats.doc_count, {rid: docs for rid, docs
+                                                in stats.edge_doc_index.items()
+                                                if rid != missing})
+        with pytest.raises(DiscoveryError, match=f"corpus stats missing relation '{missing}'"):
+            discover(graph, partial, pagerank(graph, DEFAULTS), DEFAULTS,
+                     undirected=undirected)
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_centrality_missing_entity(self, undirected):
+        graph, stats = random_graph(random.Random(5), 20, 40)
+        centrality = pagerank(graph, DEFAULTS)
+        missing = list(graph.entities)[-1]
+        partial = CentralityScores(
+            {eid: v for eid, v in centrality.scores.items() if eid != missing},
+            {eid: v for eid, v in centrality.normalized.items() if eid != missing},
+            centrality.iterations_used, centrality.converged)
+        with pytest.raises(DiscoveryError, match=f"centrality missing entity '{missing}'"):
+            discover(graph, stats, partial, DEFAULTS, undirected=undirected)
+
+
 class TestRankTopK:
     def mk(self, total, entity_ids, n_override=None):
         pw = Pathway(tuple(entity_ids), tuple(f"r{i}" for i in
@@ -364,6 +389,7 @@ class TestTopKCut:
                 assert got.candidates_scored < got.candidates_enumerated
 
     def test_source_order_does_not_change_output(self, monkeypatch):
+        # two walk orders: sources reversed, and each entity's hops reversed
         graphs = [
             # tie-heavy: IP is 0 and f is 0 or 1
             random_graph(random.Random(77), 40, 110, n_docs=2,
@@ -389,11 +415,19 @@ class TestTopKCut:
             build_index(self, *args, **kwargs)
             self.sources.reverse()
 
-        monkeypatch.setattr(discovery._GraphIndex, "__init__", reversed_sources)
-        backward = run()
-        assert [payload for payload, _ in backward] == [payload for payload, _ in forward]
-        # the reversed order did reach the cut: it scored other subtrees
-        assert [scored for _, scored in backward] != [scored for _, scored in forward]
+        def reversed_adjacency(self, *args, **kwargs):
+            build_index(self, *args, **kwargs)
+            for hops in self.adjacency:
+                hops.reverse()
+            self.targets = [targets[::-1] for targets in self.targets]
+            self.cross_targets = [targets[::-1] for targets in self.cross_targets]
+
+        for permuted_index in (reversed_sources, reversed_adjacency):
+            monkeypatch.setattr(discovery._GraphIndex, "__init__", permuted_index)
+            backward = run()
+            assert [payload for payload, _ in backward] == [payload for payload, _ in forward]
+            # the reversed order did reach the cut: it scored other subtrees
+            assert [scored for _, scored in backward] != [scored for _, scored in forward]
 
     def test_bound_covers_extensions_summed_hop_by_hop(self):
         # the traversal adds one entity's impact at a time; a bound that

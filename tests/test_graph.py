@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -85,17 +86,19 @@ class TestBuildGraph:
         a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
         r = rel("r", "A", "B")
         graph = build_graph([a, b], [r])
-        assert graph.adjacency == {"A": ("r",), "B": ("r",)}
+        assert [f.name for f in fields(graph)] == ["entities", "relations", "doc_count"]
         assert graph.out_neighbors("A") == [("r", "B")]
+        assert graph.out_neighbors("A", undirected=True) == [("r", "B")]
         assert graph.out_neighbors("B") == []
         assert graph.out_neighbors("B", undirected=True) == [("r", "A")]
 
     def test_self_loop_listed_once(self):
         a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
         graph = build_graph([a, b], [rel("loop", "A", "A"), rel("r", "B", "A")])
-        assert graph.adjacency == {"A": ("loop", "r"), "B": ("r",)}
         assert graph.out_neighbors("A") == [("loop", "A")]
         assert graph.out_neighbors("A", undirected=True) == [("loop", "A"), ("r", "B")]
+        assert graph.out_neighbors("B") == [("r", "A")]
+        assert graph.out_neighbors("B", undirected=True) == [("r", "A")]
 
     def test_duplicate_triples_merge_docs(self):
         a, b = make_entity("A", Layer.PHYSICAL), make_entity("B", Layer.SOCIAL)
@@ -211,27 +214,30 @@ class TestGraphStats:
 
 class TestAdjacencyInvariant:
     def test_every_relation_in_exactly_one_out_and_in_list(self):
-        # a relation is listed as outbound only under its source and as
-        # inbound only under its target, and nowhere else
+        # out_neighbors lists a relation under its source in both modes and
+        # under its target in undirected mode only (a self-loop once), and
+        # nowhere else
         rng = random.Random(3)
-        graph, _ = random_graph(rng, 60, 150)
-        out_owner, in_owner = {}, {}
-        for eid, rids in graph.adjacency.items():
-            assert len(set(rids)) == len(rids)
-            for rid in rids:
-                r = graph.relations[rid]
-                owners = out_owner if r.source == eid else in_owner
-                assert rid not in owners
-                owners[rid] = eid
-        for rid, r in graph.relations.items():
-            assert out_owner[rid] == r.source
-            assert in_owner[rid] == r.target
-        assert len(out_owner) == len(in_owner) == len(graph.relations)
-        assert sum(map(len, graph.adjacency.values())) == 2 * len(graph.relations)
-        for eid, rids in graph.adjacency.items():
-            key = [(r.target if r.source == eid else r.source, r.predicate, r.id)
-                   for r in map(graph.relations.get, rids)]
-            assert key == sorted(key)
+        base, _ = random_graph(rng, 60, 150)
+        loops = [rel(f"loop{i}", eid, eid) for i, eid in enumerate(list(base.entities)[:5])]
+        graph = build_graph(base.entities.values(), [*base.relations.values(), *loops])
+        for undirected in (False, True):
+            owners = {rid: [] for rid in graph.relations}
+            for eid in graph.entities:
+                pairs = graph.out_neighbors(eid, undirected=undirected)
+                for rid, other in pairs:
+                    r = graph.relations[rid]
+                    assert ((r.source, r.target) == (eid, other)
+                            or undirected and (r.target, r.source) == (eid, other))
+                    owners[rid].append(eid)
+                key = [(n, graph.relations[rid].predicate, rid) for rid, n in pairs]
+                assert key == sorted(key)
+            for rid, r in graph.relations.items():
+                expected = {r.source, r.target} if undirected else {r.source}
+                assert owners[rid] == sorted(expected)
+            listed = sum(map(len, owners.values()))
+            assert listed == (2 * len(graph.relations) - len(loops) if undirected
+                              else len(graph.relations))
 
 
 class TestSnapshot:
@@ -250,7 +256,10 @@ class TestSnapshot:
         assert loaded == graph
         assert loaded.entities == graph.entities
         assert loaded.relations == graph.relations
-        assert loaded.adjacency == graph.adjacency
+        for eid in graph.entities:
+            for undirected in (False, True):
+                assert (loaded.out_neighbors(eid, undirected=undirected)
+                        == graph.out_neighbors(eid, undirected=undirected))
         assert loaded.doc_count == graph.doc_count
 
     def test_build_is_deterministic_under_permutation(self, tmp_path):

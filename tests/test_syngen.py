@@ -91,8 +91,9 @@ class TestGenSpecValidation:
         {"popularity_skew": -0.5},
         {"planted_severity": 1.5},
         {"planted_severity": -0.1},
+        {"background_noise": -0.01},
     ], ids=["nan-skew", "inf-noise", "bool-docs", "float-seed", "negative-skew",
-            "severity-above-one", "negative-severity"])
+            "severity-above-one", "negative-severity", "negative-noise"])
     def test_field_invariants(self, overrides):
         with pytest.raises(RiskPathError):
             small_spec(**overrides)
@@ -100,6 +101,17 @@ class TestGenSpecValidation:
     def test_skew_too_large_for_pool(self):
         with pytest.raises(GenerationError, match="popularity_skew"):
             generate(small_spec(popularity_skew=1000.0))
+
+    @pytest.mark.parametrize("bias, common_chains, formable", [
+        (1.0, 0, 144), (0.0, 0, 432), (0.5, 0, 576), (0.0, 2, 428), (1.0, 2, 144)])
+    def test_noise_capped_at_formable_edges(self, bias, common_chains, formable):
+        # 9 entities and 8 predicates, no self-loops: 144 same-layer and 432
+        # cross-layer edges, less the cross-layer edges of the common chains
+        spec = dict(n_docs=5, seed=1, entities_per_layer=3, same_layer_bias=bias,
+                    common_chains=common_chains)
+        generate(GenSpec(background_noise=formable / 9, **spec))
+        with pytest.raises(GenerationError, match="background_noise"):
+            generate(GenSpec(background_noise=(formable + 1) / 9, **spec))
 
 
 class TestGeneration:
