@@ -67,7 +67,7 @@ class Layer(Enum):
     def from_string(cls, text: str) -> "Layer":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (ValueError, AttributeError):  # AttributeError: not a string
             raise ValueError(f"unknown layer {text!r}; expected one of "
                              f"{[m.value for m in cls]}") from None
 
@@ -86,7 +86,7 @@ class Phase(Enum):
     def from_string(cls, text: str) -> "Phase":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (ValueError, AttributeError):  # AttributeError: not a string
             raise ValueError(f"unknown phase {text!r}; expected one of "
                              f"{[m.value for m in cls]}") from None
 

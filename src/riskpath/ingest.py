@@ -14,21 +14,25 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import ConfigError, IngestError
-from .graph import Entity, KnowledgeGraph, Layer, Phase, Relation
+from .graph import _SURROGATE_ESCAPE, Entity, KnowledgeGraph, Layer, Phase, Relation
 
 DEFAULT_MALFORMED_TOLERANCE = 0.1
 TRIPLES_FORMATS = ("jsonl", "tsv")
 UNREGISTERED_SEVERITY = 0.5
 
 _WHITESPACE = re.compile(r"\s+")
+_TRIPLE_FIELDS = ("s", "p", "o", "doc")
 
 
-@dataclass(frozen=True)
-class RawTriple:
-    """One (subject, predicate, object) statement from one document."""
+class RawTriple(NamedTuple):
+    """One (subject, predicate, object) statement from one document.
+
+    A plain named tuple: it unpacks in field order and compares equal to a
+    tuple of the same values.
+    """
 
     subject: str
     predicate: str
@@ -94,26 +98,40 @@ def _parse_phases(values, line: int) -> frozenset[Phase]:
         raise ValueError(f"bad phases: {exc}") from None
 
 
+def _check_triple_fields(values: tuple, check_encoding: bool) -> None:
+    """Raise for the first of s, p, o, doc that is not a non-empty string or,
+    with ``check_encoding``, that holds a lone surrogate."""
+    for key, value in zip(_TRIPLE_FIELDS, values):
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"field {key!r} must be a non-empty string")
+        if check_encoding:
+            value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+
+
 def _triple_from_json(line_no: int, text: str) -> RawTriple:
     record = json.loads(text)
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
-    missing = [key for key in ("s", "p", "o", "doc") if key not in record]
-    if missing:
-        raise ValueError(f"missing field(s) {missing}")
-    fields = {}
-    for key in ("s", "p", "o", "doc"):
-        value = record[key]
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"field {key!r} must be a non-empty string")
-        value.encode("utf-8")  # a lone surrogate escape raises UnicodeEncodeError
-        fields[key] = value.strip()
-    phases = frozenset()
-    if "phases" in record and record["phases"] is not None:
-        if not isinstance(record["phases"], list):
-            raise ValueError("field 'phases' must be an array")
-        phases = _parse_phases(record["phases"], line_no)
-    return RawTriple(fields["s"], fields["p"], fields["o"], fields["doc"], phases)
+    try:
+        values = (record["s"], record["p"], record["o"], record["doc"])
+    except KeyError:
+        missing = [key for key in _TRIPLE_FIELDS if key not in record]
+        raise ValueError(f"missing field(s) {missing}") from None
+    # a lone surrogate comes only from a non-ASCII line or a \uD800-\uDFFF
+    # escape; the fields of any other line need no UTF-8 encode check
+    may_hold_surrogate = not text.isascii() or _SURROGATE_ESCAPE.search(text)
+    try:
+        fields = tuple(map(str.strip, values))
+    except TypeError:  # a field that is not a string
+        fields = ("",)
+    if may_hold_surrogate or not all(fields):
+        _check_triple_fields(values, may_hold_surrogate)
+    phases = record.get("phases")
+    if phases is None:
+        return RawTriple(*fields)
+    if not isinstance(phases, list):
+        raise ValueError("field 'phases' must be an array")
+    return RawTriple(*fields, _parse_phases(phases, line_no))
 
 
 def _triple_from_tsv(line_no: int, text: str) -> RawTriple:
@@ -210,19 +228,21 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
     """
     alias_map = build_alias_map(meta, extra_aliases)
     unregistered: set[str] = set()
+    resolved: dict[str, str] = {}  # surface form -> canonical name
 
     def resolve(name: str) -> str:
         key = normalize_name(name)
         canonical = alias_map.get(key)
         if canonical is None:
             unregistered.add(key)
-            return key
+            canonical = key
+        resolved[name] = canonical
         return canonical
 
     result = [
-        RawTriple(resolve(t.subject), t.predicate.strip(), resolve(t.object),
-                  t.doc_id, t.phases)
-        for t in triples
+        RawTriple(resolved.get(s) or resolve(s), p.strip(),
+                  resolved.get(o) or resolve(o), doc_id, phases)
+        for s, p, o, doc_id, phases in triples
     ]
     return result, sorted(unregistered)
 
@@ -272,7 +292,16 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         meta_by_name[entry.name] = entry
     lexicon = lexicon or []
 
-    names = sorted({name for t in triples for name in (t.subject, t.object)})
+    # doc ids and phases per distinct (s, p, o); the rest works on these
+    grouped: dict[tuple[str, str, str], tuple[set[str], set[Phase]]] = {}
+    for s, p, o, doc_id, phases in triples:
+        group = grouped.get((s, p, o))
+        if group is None:
+            group = grouped[s, p, o] = (set(), set())
+        group[0].add(doc_id)
+        group[1].update(phases)
+
+    names = sorted({name for s, _, o in grouped for name in (s, o)})
     entities: dict[str, Entity] = {}
     rejections: list[dict] = []
     for name in names:
@@ -296,19 +325,9 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         raise IngestError(
             f"{len(rejections)} unresolvable entities in strict mode; "
             f"first: {rejections[0]['name']!r}")
-
-    doc_ids = {t.doc_id for t in triples}
-    grouped: dict[tuple[str, str, str], tuple[set[str], set[Phase]]] = {}
-    dropped = 0
-    for t in triples:
-        if t.subject not in entities or t.object not in entities:
-            dropped += 1
-            continue
-        docs, phases = grouped.setdefault((t.subject, t.predicate, t.object),
-                                          (set(), set()))
-        docs.add(t.doc_id)
-        phases.update(t.phases)
-    if dropped:
+    if rejections:
+        rejected = {row["name"] for row in rejections}
+        dropped = sum(s in rejected or o in rejected for s, _, o, _, _ in triples)
         rejections.append({
             "name": None,
             "reason": f"{dropped} triples dropped due to rejected endpoints",
@@ -318,7 +337,9 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         Relation(id=relation_id(s, p, o), source=s, predicate=p, target=o,
                  doc_ids=frozenset(docs), phases=frozenset(phases))
         for (s, p, o), (docs, phases) in sorted(grouped.items())
+        if s in entities and o in entities
     ]
+    doc_ids = set().union(*(docs for docs, _ in grouped.values()))
     return AggregateResult(
         entities=list(entities.values()),
         relations=relations,

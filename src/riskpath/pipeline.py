@@ -469,9 +469,10 @@ def _pipeline_lock(workdir: Path):
                 break
         os.close(fd)  # locked a file its holder has unlinked since; retry
     try:
-        os.ftruncate(fd, 0)
-        os.write(fd, json.dumps({"pid": os.getpid(),
-                                 "started_at": time.time()}).encode("utf-8"))
+        # overwrite, then cut what a longer old record left; truncating to 0
+        # first would make closing the file wait for a disk flush on ext4
+        record = json.dumps({"pid": os.getpid(), "started_at": time.time()}).encode("utf-8")
+        os.ftruncate(fd, os.pwrite(fd, record, 0))
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -253,17 +253,31 @@ def generate(spec: GenSpec) -> GenResult:
         raise GenerationError(
             f"background pool of {len(pool) + noise_target} edges cannot fill "
             f"documents of up to {hi} relations; raise background_noise")
-    # distinct edges the sampler below can draw: from each of the 3n entities to
-    # another on its layer (n - 1) or on the other two (2n), as the bias allows
-    allowed = {True: spec.same_layer_bias > 0, False: spec.same_layer_bias < 1}
+    # distinct edges the sampler below can draw, same-layer (True) and
+    # cross-layer (False): from each of the 3n entities to another on its layer
+    # (n - 1) or on the other two (2n), less the edges already in the pool
     n = spec.entities_per_layer
-    formable = len(PREDICATES) * 3 * n * (allowed[True] * (n - 1) + allowed[False] * 2 * n)
-    formable -= sum(allowed[layer_of[a] is layer_of[b]] for a, _, b in pool_set | planted_edges)
-    if noise_target > formable:
+    free = {True: len(PREDICATES) * 3 * n * (n - 1), False: len(PREDICATES) * 3 * n * 2 * n}
+    for a, _, b in pool_set | planted_edges:
+        free[layer_of[a] is layer_of[b]] -= 1
+    share = {True: spec.same_layer_bias, False: 1.0 - spec.same_layer_bias}
+    formable = {same: free[same] if share[same] > 0 else 0 for same in free}
+    if noise_target > sum(formable.values()):
         raise GenerationError(f"background_noise {spec.background_noise} asks for {noise_target} "
-                              f"distinct noise edges; the entity pool can form {formable}")
+                              f"distinct noise edges; the entity pool can form "
+                              f"{sum(formable.values())}")
     attempts = 0
     max_attempts = 80 * max(noise_target, 1)
+    # edges of one kind that the other kind cannot supply; the sampler draws
+    # that kind in about its bias share of the attempts it is allowed
+    for same, kind in ((True, "same-layer"), (False, "cross-layer")):
+        forced = noise_target - formable[not same]
+        if forced > share[same] * max_attempts:
+            raise GenerationError(
+                f"background_noise {spec.background_noise} needs {forced} {kind} noise "
+                f"edges, but same_layer_bias {spec.same_layer_bias} draws about "
+                f"{share[same] * max_attempts:.3g} {kind} edges in the sampler's "
+                f"{max_attempts} attempts")
     other_layers = {layer: [l for l in Layer if l is not layer] for layer in Layer}
     noise_count = 0
     while noise_count < noise_target:

@@ -2,6 +2,7 @@ import json
 import logging
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -429,6 +430,19 @@ class TestSyngenCommand:
             env=subprocess_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: background_noise")
+        assert not (tmp_path / "c" / "triples.jsonl").exists()
+
+    def test_noise_kind_the_bias_barely_draws_exit_one(self, tmp_path, capsys):
+        # 180,000 noise edges need 7,224 same-layer ones beyond the cross-layer
+        # edges the pool can form; at this bias the sampler would try for seconds
+        start = time.perf_counter()
+        code = main(["syngen", "--docs", "20", "--entities-per-layer", "60",
+                     "--same-layer-bias", "1e-12", "--background-noise", "1000",
+                     "--out", str(tmp_path / "c")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: background_noise 1000.0 needs 7224 "
+                                                  "same-layer noise edges")
         assert not (tmp_path / "c" / "triples.jsonl").exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -8,17 +9,21 @@ from hypothesis import given, settings, strategies as st
 from riskpath import (
     ConfigError,
     EntityMeta,
+    GenSpec,
     IngestError,
     Layer,
     Phase,
+    PlantedChain,
     RawTriple,
     aggregate,
     canonicalize,
+    generate,
     normalize_name,
     parse_entity_meta,
     parse_triples,
 )
 from riskpath.ingest import build_alias_map, load_layer_lexicon, relation_id
+from riskpath.pipeline import PipelineConfig, ingest
 
 
 def jsonl(*rows):
@@ -79,6 +84,13 @@ class TestParseTriples:
             malformed_tolerance=1.0)
         assert len(errors) == 1
 
+    def test_non_string_phase_is_malformed(self):
+        _, errors = parse_triples(jsonl(
+            {"s": "a", "p": "b", "o": "c", "doc": "d", "phases": ["acute", 1]}),
+            malformed_tolerance=1.0)
+        assert errors == [{"line": 1, "reason": "bad phases: unknown phase 1; expected "
+                                                "one of ['acute', 'subacute', 'chronic']"}]
+
     def test_blank_string_fields_rejected(self):
         _, errors = parse_triples(jsonl(
             {"s": "  ", "p": "b", "o": "c", "doc": "d"}), malformed_tolerance=1.0)
@@ -109,6 +121,71 @@ class TestParseTriples:
     def test_unknown_format(self):
         with pytest.raises(ConfigError):
             parse_triples(io.StringIO(""), format="xml")
+
+
+# (line, reason written to parse_errors.jsonl); the first defect of a line
+# in field order s, p, o, doc is the one reported
+REASON_CASES = {
+    "broken-json": ('{broken',
+                    "Expecting property name enclosed in double quotes: line 1 column 2 "
+                    "(char 1)"),
+    "utf8-bom": ('\ufeff{"s": "a", "p": "b", "o": "c", "doc": "d"}',
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "array-record": ('["a", "b", "c", "d"]', "record is not a JSON object"),
+    "string-record": ('"a b c d"', "record is not a JSON object"),
+    "missing-fields": ('{"s": "a", "doc": "d"}', "missing field(s) ['p', 'o']"),
+    "non-string": ('{"s": 1, "p": "b", "o": "c", "doc": "d"}',
+                   "field 's' must be a non-empty string"),
+    "null": ('{"s": "a", "p": "b", "o": null, "doc": "d"}',
+             "field 'o' must be a non-empty string"),
+    "blank": ('{"s": "a", "p": " \\t ", "o": "c", "doc": "d"}',
+              "field 'p' must be a non-empty string"),
+    "empty": ('{"s": "a", "p": "b", "o": "c", "doc": ""}',
+              "field 'doc' must be a non-empty string"),
+    "escaped-surrogate": ('{"s": "\\ud800 heat", "p": "b", "o": "c", "doc": "d"}',
+                          "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                          "surrogates not allowed"),
+    "escaped-upper-surrogate": ('{"s": "a", "p": "b", "o": "c", "doc": "d\\uDFFF"}',
+                                "'utf-8' codec can't encode character '\\udfff' in "
+                                "position 1: surrogates not allowed"),
+    "raw-surrogate": ('{"s": "a", "p": "b\ud800", "o": "c", "doc": "d"}',
+                      "'utf-8' codec can't encode character '\\ud800' in position 1: "
+                      "surrogates not allowed"),
+    "blank-then-surrogate": ('{"s": " ", "p": "\\ud800", "o": "c", "doc": "d"}',
+                             "field 's' must be a non-empty string"),
+    "surrogate-then-blank": ('{"s": "\\ud800", "p": "", "o": "c", "doc": "d"}',
+                             "'utf-8' codec can't encode character '\\ud800' in "
+                             "position 0: surrogates not allowed"),
+    "non-string-then-surrogate": ('{"s": "a", "p": 5, "o": "c\\ud800", "doc": "d"}',
+                                  "field 'p' must be a non-empty string"),
+    "phases-not-list": ('{"s": "a", "p": "b", "o": "c", "doc": "d", "phases": "acute"}',
+                        "field 'phases' must be an array"),
+    "unknown-phase": ('{"s": "a", "p": "b", "o": "c", "doc": "d", "phases": ["someday"]}',
+                      "bad phases: unknown phase 'someday'; expected one of "
+                      "['acute', 'subacute', 'chronic']"),
+}
+
+
+class TestParseErrorReasons:
+    @pytest.mark.parametrize("line, reason", REASON_CASES.values(), ids=REASON_CASES.keys())
+    def test_reason(self, line, reason):
+        triples, errors = parse_triples(io.StringIO(
+            '{"s": "a", "p": "b", "o": "c", "doc": "d"}\n' + line + "\n"),
+            malformed_tolerance=1.0)
+        assert triples == [RawTriple("a", "b", "c", "d")]
+        assert errors == [{"line": 2, "reason": reason}]
+
+    def test_non_ascii_line_is_valid(self):
+        triples, errors = parse_triples(io.StringIO(
+            '{"s": "  Hitzewelle ", "p": "erh\u00f6ht", "o": "\u6c34\u9700\u6c42", '
+            '"doc": "d\u00e9", "phases": ["Acute"]}\n'
+            '{"s": "\u00e9t\u00e9 sec", "p": "b", "o": "c\\u00e9", "doc": "\\\\ud800"}\n'))
+        assert errors == []
+        assert triples == [
+            RawTriple("Hitzewelle", "erh\u00f6ht", "\u6c34\u9700\u6c42", "d\u00e9",
+                      frozenset({Phase.ACUTE})),
+            RawTriple("\u00e9t\u00e9 sec", "b", "c\u00e9", "\\ud800"),
+        ]
 
 
 class TestCanonicalize:
@@ -254,6 +331,11 @@ class TestEntityMetaParsing:
         with pytest.raises(IngestError, match="line 1"):
             parse_entity_meta(jsonl({"name": "x", "layer": "nope", "severity": 0.5}))
 
+    @pytest.mark.parametrize("layer", [1, None, ["physical"]])
+    def test_non_string_layer(self, layer):
+        with pytest.raises(IngestError, match="line 1: unknown layer"):
+            parse_entity_meta(jsonl({"name": "x", "layer": layer, "severity": 0.5}))
+
     @pytest.mark.parametrize("line", [
         '{"name": "heat \\udc00", "layer": "physical", "severity": 0.5}',
         '{"name": "heat", "layer": "physical", "severity": 0.5, "aliases": ["\\ud800"]}',
@@ -283,3 +365,83 @@ class TestNormalizeName:
     def test_examples(self):
         assert normalize_name("  EXTREME   heat ") == "extreme heat"
         assert normalize_name("a\t b\nc") == "a b c"
+
+
+# Surface forms the golden corpus writes in place of a canonical name: case
+# and whitespace variants (one non-ASCII), entity-metadata aliases, alias-file
+# entries, and unregistered names that the layer lexicon places (flood,
+# market) or not (mystery).
+GOLDEN_VARIANTS = ("  PHY-0003 ", "Migration   WAVE", "HEAT dome", "soc-0002\u00a0",
+                   "Coastal Flood Zone", "market PANIC", "mystery factor")
+GOLDEN_META_ALIASES = {"soc-0004": ["migration wave"], "eco-0001": ["Grid Stress"]}
+GOLDEN_ALIAS_FILE = {"Heat Dome": "phy-0001", "GRID stress ": "eco-0001"}
+GOLDEN_LEXICON = {"flood": "physical", "market": "economic"}
+TSV_MALFORMED = ("a\tb\tc", "a\tb\tc\td\tacute\textra", "a\t \tc\td",
+                 "a\tb\tc\td\tsomeday", "\tb\tc\td")
+
+# sha256 of (graph.rpkg, rejections.jsonl, parse_errors.jsonl) per format;
+# both formats carry the same valid triples
+GOLDEN_SHA256 = {
+    "jsonl": ("3504f3d4bac9e6beb638e44a84f2786de99e9454d037986a843fc017074e5832",
+              "5507d9a9e0446704707bdb762f23b8bc3e9bb6199fffafeec81f305ba33dd8c4",
+              "3791ad08e2d7f86e1399558b89bdbf876f36f86dc4c15c95e6906394bbe266f5"),
+    "tsv": ("3504f3d4bac9e6beb638e44a84f2786de99e9454d037986a843fc017074e5832",
+            "5507d9a9e0446704707bdb762f23b8bc3e9bb6199fffafeec81f305ba33dd8c4",
+            "5d39cefca5ca3a4ca38a9ace70124df62a64e5f07b1cbf4e6f9972f45f535931"),
+}
+
+
+def _golden_corpus(directory, fmt: str) -> PipelineConfig:
+    """A seeded syngen corpus with surface-form variants, phases and one
+    malformed line of each kind, written in ``fmt``."""
+    result = generate(GenSpec(n_docs=80, seed=23, entities_per_layer=20,
+                              background_noise=1.5,
+                              planted_chains=(PlantedChain.parse("P,S,E:2"),)))
+    lines = []
+    for i, row in enumerate(result.triples):
+        s, o = row["s"], row["o"]
+        if i % 9 == 0:
+            s = GOLDEN_VARIANTS[i // 9 % len(GOLDEN_VARIANTS)]
+        if i % 13 == 5:
+            o = GOLDEN_VARIANTS[i // 13 % len(GOLDEN_VARIANTS)]
+        phases = (["acute"] if i % 5 == 0 else []) + (["Chronic"] if i % 7 == 0 else [])
+        if fmt == "jsonl":
+            record = {"s": s, "p": row["p"], "o": o, "doc": row["doc"]}
+            if phases:
+                record["phases"] = phases
+            lines.append(json.dumps(record, ensure_ascii=False))
+        else:
+            lines.append("\t".join([s, row["p"], o, row["doc"]] + [",".join(phases)] * bool(phases)))
+    malformed = ([line for name, (line, _) in REASON_CASES.items() if name != "raw-surrogate"]
+                 if fmt == "jsonl" else list(TSV_MALFORMED))
+    for j, line in enumerate(malformed):
+        lines.insert(17 + 23 * j, line)
+
+    directory.mkdir()
+    triples = directory / f"triples.{fmt}"
+    triples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    entities = directory / "entities.jsonl"
+    entities.write_text("".join(
+        json.dumps(dict(row, aliases=GOLDEN_META_ALIASES.get(row["name"], []))) + "\n"
+        for row in result.entities), encoding="utf-8")
+    aliases = directory / "aliases.json"
+    aliases.write_text(json.dumps(GOLDEN_ALIAS_FILE), encoding="utf-8")
+    lexicon = directory / "lexicon.json"
+    lexicon.write_text(json.dumps(GOLDEN_LEXICON), encoding="utf-8")
+    return PipelineConfig(triples=str(triples), entities=str(entities),
+                          triples_format=fmt, aliases=str(aliases),
+                          layer_lexicon=str(lexicon))
+
+
+class TestGoldenIngest:
+    @pytest.mark.parametrize("fmt", ("jsonl", "tsv"))
+    def test_output_bytes_pinned(self, tmp_path, fmt):
+        config = _golden_corpus(tmp_path / "corpus", fmt)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        assert ingest(config, workdir) == {
+            "entities": 60, "relations": 212, "doc_count": 80, "rejections": 2,
+            "unregistered": 3, "parse_errors": {"jsonl": 16, "tsv": 5}[fmt]}
+        digests = tuple(hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                        for name in ("graph.rpkg", "rejections.jsonl", "parse_errors.jsonl"))
+        assert digests == GOLDEN_SHA256[fmt]

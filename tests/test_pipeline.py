@@ -1,6 +1,7 @@
 import fcntl
 import json
 import logging
+import os
 import signal
 import subprocess
 import sys
@@ -455,6 +456,15 @@ class TestLock:
         summary = run(config, workdir)
         assert summary.executed == list(pipeline.STAGE_ORDER)
         assert not (workdir / "pipeline.lock").exists()
+
+    def test_holder_record_replaces_longer_stale_bytes(self, tmp_path):
+        path = tmp_path / "pipeline.lock"
+        path.write_bytes(b"#" * 200)
+        with pipeline._pipeline_lock(tmp_path):
+            # json.loads rejects any stale byte left after the record
+            record = json.loads(path.read_bytes())
+            assert record["pid"] == os.getpid()
+        assert not path.exists()
 
 
 class TestPipelineConfig:

@@ -113,6 +113,16 @@ class TestGenSpecValidation:
         with pytest.raises(GenerationError, match="background_noise"):
             generate(GenSpec(background_noise=(formable + 1) / 9, **spec))
 
+    @pytest.mark.parametrize("bias, noise_target, kind", [
+        (1e-9, 433, "1 same-layer"), (1 - 1e-9, 145, "1 cross-layer")])
+    def test_noise_kind_beyond_bias_share(self, bias, noise_target, kind):
+        # one edge more than the other kind's 432 cross-layer or 144 same-layer
+        # edges, which the sampler draws about once in 1e9 attempts
+        spec = GenSpec(n_docs=5, seed=1, entities_per_layer=3, same_layer_bias=bias,
+                       common_chains=0, background_noise=noise_target / 9)
+        with pytest.raises(GenerationError, match=f"needs {kind} noise edges"):
+            generate(spec)
+
 
 class TestGeneration:
     def test_empty_corpus(self):
