@@ -28,6 +28,9 @@ with the collector running that starts a collection every few hundred of
 them. Each one rescans the records decoded so far and frees nothing: these
 objects form no reference cycles, so reference counting frees them. Ingest
 and discovery are the other two allocation bursts run under the same pause.
+A loaded record is one tuple object beside its frozensets (relations share
+the eight possible phase sets), so the collection that the pause leaves to
+the caller has few objects per record to scan.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import chain, combinations, islice, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphBuildError, SnapshotError, UnknownEntityError
 
@@ -91,51 +94,79 @@ class Phase(Enum):
                              f"{[m.value for m in cls]}") from None
 
 
-@dataclass(frozen=True)
-class Entity:
-    """Canonical node: layer assignment plus a severity weight in [0, 1]."""
-
+class _EntityFields(NamedTuple):
     id: str
     canonical_name: str
     layer: Layer
     severity: float
-    aliases: frozenset[str] = frozenset()
+    aliases: frozenset[str]
 
-    def __post_init__(self):
-        if not self.id:
+
+class Entity(_EntityFields):
+    """Canonical node: layer assignment plus a severity weight in [0, 1].
+
+    An immutable tuple of its fields, equal to a plain tuple of the same
+    values. Construction, ``_make`` and ``_replace`` all check the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, canonical_name: str, layer: Layer, severity: float,
+                aliases: Iterable[str] = frozenset()):
+        if not id:
             raise GraphBuildError("entity id must be non-empty")
-        if not self.canonical_name:
-            raise GraphBuildError(f"entity {self.id!r}: canonical_name must be non-empty")
-        if not isinstance(self.layer, Layer):
-            raise GraphBuildError(f"entity {self.id!r}: layer must be a Layer")
-        if not 0.0 <= self.severity <= 1.0:
-            raise GraphBuildError(f"entity {self.id!r}: severity {self.severity} not in [0, 1]")
-        if not isinstance(self.aliases, frozenset):
-            object.__setattr__(self, "aliases", frozenset(self.aliases))
+        if not canonical_name:
+            raise GraphBuildError(f"entity {id!r}: canonical_name must be non-empty")
+        if not isinstance(layer, Layer):
+            raise GraphBuildError(f"entity {id!r}: layer must be a Layer")
+        if not 0.0 <= severity <= 1.0:
+            raise GraphBuildError(f"entity {id!r}: severity {severity} not in [0, 1]")
+        if not isinstance(aliases, frozenset):
+            aliases = frozenset(aliases)
+        return tuple.__new__(cls, (id, canonical_name, layer, severity, aliases))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """Directed labeled edge with document provenance and phase tags."""
-
+class _RelationFields(NamedTuple):
     id: str
     source: str
     predicate: str
     target: str
     doc_ids: frozenset[str]
-    phases: frozenset[Phase] = frozenset()
+    phases: frozenset[Phase]
 
-    def __post_init__(self):
-        if not self.id:
+
+class Relation(_RelationFields):
+    """Directed labeled edge with document provenance and phase tags.
+
+    An immutable tuple of its fields, equal to a plain tuple of the same
+    values. Construction, ``_make`` and ``_replace`` all check the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, source: str, predicate: str, target: str,
+                doc_ids: Iterable[str], phases: Iterable[Phase] = frozenset()):
+        if not id:
             raise GraphBuildError("relation id must be non-empty")
-        if not self.predicate:
-            raise GraphBuildError(f"relation {self.id!r}: predicate must be non-empty")
-        if not isinstance(self.doc_ids, frozenset):
-            object.__setattr__(self, "doc_ids", frozenset(self.doc_ids))
-        if not self.doc_ids:
-            raise GraphBuildError(f"relation {self.id!r}: doc_ids must be non-empty")
-        if not isinstance(self.phases, frozenset):
-            object.__setattr__(self, "phases", frozenset(self.phases))
+        if not predicate:
+            raise GraphBuildError(f"relation {id!r}: predicate must be non-empty")
+        if not isinstance(doc_ids, frozenset):
+            doc_ids = frozenset(doc_ids)
+        if not doc_ids:
+            raise GraphBuildError(f"relation {id!r}: doc_ids must be non-empty")
+        if not isinstance(phases, frozenset):
+            phases = frozenset(phases)
+        return tuple.__new__(cls, (id, source, predicate, target, doc_ids, phases))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def triple(self) -> tuple[str, str, str]:
@@ -222,10 +253,11 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
 
     Duplicate (source, predicate, target) triples are merged: doc_ids and
     phases are unioned and the lexicographically smallest id is kept, so the
-    result is invariant under input permutation. ``doc_count`` defaults to
-    the number of distinct doc ids across relations; ingest passes its own
-    corpus-wide count, which may be larger if some documents contributed
-    only rejected triples.
+    result is invariant under input permutation. One id given to two
+    different triples raises GraphBuildError, as a repeated entity id does.
+    ``doc_count`` defaults to the number of distinct doc ids across
+    relations; ingest passes its own corpus-wide count, which may be larger
+    if some documents contributed only rejected triples.
     """
     entity_map: dict[str, Entity] = {}
     for entity in entities:
@@ -234,28 +266,25 @@ def build_graph(entities: Iterable[Entity], relations: Iterable[Relation],
         entity_map[entity.id] = entity
 
     merged: dict[tuple[str, str, str], Relation] = {}
+    triple_of: dict[str, tuple[str, str, str]] = {}
     for rel in relations:
-        if rel.source not in entity_map:
-            raise GraphBuildError(
-                f"relation {rel.id!r}: dangling source {rel.source!r}")
-        if rel.target not in entity_map:
-            raise GraphBuildError(
-                f"relation {rel.id!r}: dangling target {rel.target!r}")
-        prev = merged.get(rel.triple)
-        if prev is None:
-            merged[rel.triple] = rel
-        else:
-            merged[rel.triple] = Relation(
-                id=min(prev.id, rel.id),
-                source=rel.source,
-                predicate=rel.predicate,
-                target=rel.target,
-                doc_ids=prev.doc_ids | rel.doc_ids,
-                phases=prev.phases | rel.phases,
-            )
+        rid, source, predicate, target, doc_ids, phases = rel
+        if source not in entity_map:
+            raise GraphBuildError(f"relation {rid!r}: dangling source {source!r}")
+        if target not in entity_map:
+            raise GraphBuildError(f"relation {rid!r}: dangling target {target!r}")
+        triple = (source, predicate, target)
+        if triple_of.setdefault(rid, triple) != triple:
+            raise GraphBuildError(f"duplicate relation id {rid!r}")
+        prev = merged.setdefault(triple, rel)
+        if prev is not rel:
+            merged[triple] = Relation(min(prev.id, rid), source, predicate, target,
+                                      prev.doc_ids | doc_ids, prev.phases | phases)
 
     entity_map = dict(sorted(entity_map.items()))
-    relation_map = {rel.id: rel for rel in sorted(merged.values(), key=lambda r: r.id)}
+    # each id names one triple, so the merged ids are unique and the tuples
+    # sort by id alone
+    relation_map = {rel.id: rel for rel in sorted(merged.values())}
 
     seen_docs = set()
     for rel in relation_map.values():
@@ -298,6 +327,9 @@ class collector_paused:
 _HEADER = struct.Struct(">4sH")
 _LAYERS = {layer.value: layer for layer in Layer}
 _PHASES = {phase.value: phase for phase in Phase}
+# every phase set by its saved list: relations share these few objects
+_PHASE_SETS = {tuple(p.value for p in subset): frozenset(subset)
+               for n in range(len(Phase) + 1) for subset in combinations(Phase, n)}
 _ENTITY_ROW = (str, str, str, float, list)
 _RELATION_ROW = (str, str, str, str, list, list)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -330,35 +362,89 @@ def save_snapshot(graph: KnowledgeGraph, path) -> None:
         fh.write(b"]}")
 
 
-def _all_str(values: list) -> bool:
+def _all_str(values: Iterable) -> bool:
     return set(map(type, values)) <= {str}
+
+
+def _columns(rows: list, types: tuple) -> tuple | None:
+    """The columns of ``rows`` if every row is a list of values of exactly
+    ``types``, else None."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(types)}):
+        return None
+    columns = tuple(zip(*rows)) or ((),) * len(types)
+    if all(set(map(type, column)) <= {t} for column, t in zip(columns, types)):
+        return columns
+    return None
+
+
+def _entities_in_bulk(rows: list) -> list[Entity] | None:
+    """The entities of ``rows``, checked section-wide with the Entity
+    constructor's checks and built without it; None if any row fails."""
+    columns = _columns(rows, _ENTITY_ROW)
+    if columns is None:
+        return None
+    ids, names, layers, severities, aliases = columns
+    if not (all(ids) and all(names) and set(layers) <= _LAYERS.keys()
+            and all(map((0.0).__le__, severities)) and all(map((1.0).__ge__, severities))
+            and _all_str(chain.from_iterable(aliases))):
+        return None
+    return list(map(tuple.__new__, repeat(Entity), zip(
+        ids, names, map(_LAYERS.__getitem__, layers), severities, map(frozenset, aliases))))
+
+
+def _relations_in_bulk(rows: list) -> list[Relation] | None:
+    """The relations of ``rows``, checked section-wide with the Relation
+    constructor's checks and built without it; None if any row fails."""
+    columns = _columns(rows, _RELATION_ROW)
+    if columns is None:
+        return None
+    ids, sources, predicates, targets, docs, phase_lists = columns
+    if not (all(ids) and all(predicates) and all(docs)
+            and _all_str(chain.from_iterable(docs))
+            and _all_str(chain.from_iterable(phase_lists))):
+        return None
+    phases = tuple(map(tuple, phase_lists))
+    if not _PHASE_SETS.keys() >= set(phases):
+        return None
+    return list(map(tuple.__new__, repeat(Relation), zip(
+        ids, sources, predicates, targets, map(frozenset, docs),
+        map(_PHASE_SETS.__getitem__, phases))))
 
 
 def _build_inputs(payload, path) -> tuple[list[Entity], list[Relation], int]:
     """Check the shape and type of every decoded record and turn the records
     into ``build_graph`` inputs. Raises SnapshotError, or GraphBuildError
-    from the Entity and Relation constructors."""
+    from the Entity and Relation constructors.
+
+    Each section is checked and built in bulk; a section that fails the bulk
+    check goes through the record-by-record loop, which names the first
+    defect and its record index."""
     if not (type(payload) is dict and list(payload) == ["doc_count", "entities", "relations"]
             and tuple(map(type, payload.values())) == (int, list, list)):
         raise SnapshotError(f"{path}: payload is not an object of an int doc_count "
                             f"then entities and relations lists")
     doc_count, entity_rows, relation_rows = payload.values()
 
-    entities = []
-    for i, row in enumerate(entity_rows):
-        if not (type(row) is list and tuple(map(type, row)) == _ENTITY_ROW
-                and row[2] in _LAYERS and _all_str(row[4])):
-            raise SnapshotError(f"{path}: entity record {i} is ill-typed")
-        eid, name, layer, severity, aliases = row
-        entities.append(Entity(eid, name, _LAYERS[layer], severity, frozenset(aliases)))
-    relations = []
-    for i, row in enumerate(relation_rows):
-        if not (type(row) is list and tuple(map(type, row)) == _RELATION_ROW
-                and _all_str(row[4]) and _all_str(row[5]) and _PHASES.keys() >= set(row[5])):
-            raise SnapshotError(f"{path}: relation record {i} is ill-typed")
-        rid, source, predicate, target, docs, phases = row
-        relations.append(Relation(rid, source, predicate, target, frozenset(docs),
-                                  frozenset(map(_PHASES.get, phases))))
+    entities = _entities_in_bulk(entity_rows)
+    if entities is None:
+        entities = []
+        for i, row in enumerate(entity_rows):
+            if not (type(row) is list and tuple(map(type, row)) == _ENTITY_ROW
+                    and row[2] in _LAYERS and _all_str(row[4])):
+                raise SnapshotError(f"{path}: entity record {i} is ill-typed")
+            eid, name, layer, severity, aliases = row
+            entities.append(Entity(eid, name, _LAYERS[layer], severity, frozenset(aliases)))
+    relations = _relations_in_bulk(relation_rows)
+    if relations is None:
+        relations = []
+        for i, row in enumerate(relation_rows):
+            if not (type(row) is list and tuple(map(type, row)) == _RELATION_ROW
+                    and _all_str(row[4]) and _all_str(row[5])
+                    and _PHASES.keys() >= set(row[5])):
+                raise SnapshotError(f"{path}: relation record {i} is ill-typed")
+            rid, source, predicate, target, docs, phases = row
+            relations.append(Relation(rid, source, predicate, target, frozenset(docs),
+                                      frozenset(map(_PHASES.get, phases))))
     return entities, relations, doc_count
 
 

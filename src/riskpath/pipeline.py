@@ -18,7 +18,10 @@ with every stage downstream of it (stages are deterministic, so cascading
 re-runs reproduce identical bytes). Outputs
 are written atomically (temp file + rename), so a crash at any point leaves
 either the old state or the new state, never a torn file, and a resumed run
-finishes with byte-identical final outputs.
+finishes with byte-identical final outputs. ``manifest.json`` is overwritten
+in place instead, under the lock: a torn manifest either does not decode,
+and the run starts fresh, or each of its records is checked against the
+stage's input fingerprint and output hashes before any output is reused.
 
 Transient failures (I/O) are retried with exponential backoff up to a retry
 limit; validation/config failures fail fast.
@@ -36,6 +39,7 @@ the process at that point, for crash-resume equivalence tests.
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import hashlib
 import json
@@ -419,8 +423,16 @@ def _load_manifest(workdir: Path) -> dict[str, StageRecord]:
 
 
 def _save_manifest(workdir: Path, records: dict[str, StageRecord]) -> None:
+    """Overwrite ``manifest.json`` in place: renaming a new file over one
+    that an earlier rename put there makes ext4 wait for a writeback. Only
+    the lock holder writes it, and a crash cannot tear a completed write."""
     rows = [records[name].to_dict() for name in STAGE_ORDER if name in records]
-    _atomic_write_json(workdir / MANIFEST_NAME, rows)
+    data = (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(workdir / MANIFEST_NAME, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        _overwrite(fd, data)
+    finally:
+        os.close(fd)
 
 
 def _outputs_valid(workdir: Path, record: StageRecord) -> bool:
@@ -469,15 +481,23 @@ def _pipeline_lock(workdir: Path):
                 break
         os.close(fd)  # locked a file its holder has unlinked since; retry
     try:
-        # overwrite, then cut what a longer old record left; truncating to 0
-        # first would make closing the file wait for a disk flush on ext4
-        record = json.dumps({"pid": os.getpid(), "started_at": time.time()}).encode("utf-8")
-        os.ftruncate(fd, os.pwrite(fd, record, 0))
+        _overwrite(fd, json.dumps({"pid": os.getpid(),
+                                   "started_at": time.time()}).encode("utf-8"))
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
         os.close(fd)
+
+
+def _overwrite(fd: int, data: bytes) -> None:
+    """Write ``data`` over an open file from offset 0, then cut what longer
+    old contents left; truncating to 0 first would make closing the file
+    wait for a disk flush on ext4."""
+    written = os.pwrite(fd, data, 0)
+    if written != len(data):
+        raise OSError(errno.EIO, f"short write: {written} of {len(data)} bytes")
+    os.ftruncate(fd, written)
 
 
 def _maybe_crash(point: str, stage: str) -> None:

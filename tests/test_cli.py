@@ -3,7 +3,6 @@ import logging
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -280,7 +279,7 @@ class TestDiscoverCommand:
         relations = list(graph.relations.values())
         # the same entities, one relation reversed
         first = relations[0]
-        relations[0] = replace(first, source=first.target, target=first.source)
+        relations[0] = first._replace(source=first.target, target=first.source)
         save_snapshot(build_graph(list(graph.entities.values()), relations),
                       workdir / "graph.rpkg")
         self._discover_recomputes(workdir, capsys, caplog)

@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import pickle
 import random
 import sys
 import tempfile
@@ -73,6 +75,44 @@ class TestEntityValidation:
                      doc_ids=frozenset())
 
 
+class TestRecordTuples:
+    def test_replace_and_make_run_the_checks(self):
+        relation = rel("r", "a", "b")
+        with pytest.raises(GraphBuildError, match="predicate must be non-empty"):
+            relation._replace(predicate="")
+        with pytest.raises(GraphBuildError, match="doc_ids must be non-empty"):
+            relation._replace(doc_ids=[])
+        with pytest.raises(GraphBuildError, match="severity 2.0 not in"):
+            make_entity("a", Layer.SOCIAL)._replace(severity=2.0)
+        with pytest.raises(GraphBuildError, match="canonical_name must be non-empty"):
+            Entity._make(["a", "", Layer.SOCIAL, 0.5])
+        with pytest.raises(GraphBuildError, match="layer must be a Layer"):
+            Entity._make(["a", "a", "social", 0.5])
+        coerced = relation._replace(doc_ids=["d2"], phases=[Phase.ACUTE])
+        assert coerced.doc_ids == frozenset({"d2"}) and type(coerced.doc_ids) is frozenset
+        assert coerced.phases == frozenset({Phase.ACUTE})
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_round_trip(self, round_trip):
+        entity = Entity("a", "A", Layer.ECONOMIC, 0.25, {"x", "y"})
+        relation = rel("r", "a", "b", docs=("d1", "d2"), phases=(Phase.CHRONIC,))
+        for record in (entity, relation):
+            copied = round_trip(record)
+            assert copied == record and type(copied) is type(record)
+
+    def test_equal_to_plain_tuple_and_immutable(self):
+        entity = make_entity("a", Layer.PHYSICAL, 0.75)
+        assert entity == ("a", "a", Layer.PHYSICAL, 0.75, frozenset())
+        relation = rel("r", "a", "b")
+        assert relation == ("r", "a", "links", "b", frozenset({"d1"}), frozenset())
+        assert relation.triple == ("a", "links", "b")
+        with pytest.raises(AttributeError):
+            relation.source = "b"
+        assert not hasattr(relation, "__dict__")
+
+
 class TestBuildGraph:
     def test_empty_graph(self):
         graph = build_graph([], [])
@@ -116,6 +156,20 @@ class TestBuildGraph:
         a = make_entity("A", Layer.PHYSICAL)
         with pytest.raises(GraphBuildError, match="rx"):
             build_graph([a], [rel("rx", "A", "missing")])
+
+    @pytest.mark.parametrize("relations", [
+        [rel("r1", "a", "x", docs=("d1",)), rel("r1", "b", "c", docs=("d2",))],
+        [rel("r0", "a", "x"), rel("r1", "a", "x"), rel("r1", "b", "c")],
+    ], ids=["two-triples", "merged-triple-and-another"])
+    def test_duplicate_relation_id(self, relations):
+        entities = [make_entity(e, Layer.PHYSICAL) for e in "abcx"]
+        with pytest.raises(GraphBuildError, match="duplicate relation id 'r1'"):
+            build_graph(entities, relations)
+
+    def test_repeated_relation_merges_into_itself(self):
+        entities = [make_entity(e, Layer.PHYSICAL) for e in "ab"]
+        graph = build_graph(entities, [rel("r1", "a", "b"), rel("r1", "a", "b")])
+        assert list(graph.relations.values()) == [rel("r1", "a", "b")]
 
     def test_duplicate_entity_id(self):
         with pytest.raises(GraphBuildError, match="duplicate"):
@@ -333,10 +387,16 @@ def _repeat_triple(payload):
     payload["relations"].append(row)
 
 
-def _set(section, field, value):
+def _set(section, field, value, record=0):
     def edit(payload):
-        payload[section][0][field] = value
+        payload[section][record][field] = value
     return edit
+
+
+_FUZZ_PAYLOAD = json.loads(_FUZZ_SNAPSHOT[6:])
+_FIRST_ENTITY = _FUZZ_PAYLOAD["entities"][0][0]
+_FIRST_RELATION = _FUZZ_PAYLOAD["relations"][0][0]
+_LAST_RELATION = len(_FUZZ_PAYLOAD["relations"]) - 1
 
 
 class TestSnapshotV2:
@@ -405,46 +465,60 @@ class TestSnapshotV2:
             return
         assert isinstance(graph, KnowledgeGraph)
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: _swap_first_two(p["entities"]),
-        lambda p: _swap_first_two(p["relations"]),
-        lambda p: p["relations"].append(p["relations"][-1]),
-        _repeat_triple,
-        _set("entities", 0, 7),
-        _set("entities", 2, "orbital"),
-        _set("entities", 3, 1),
-        _set("entities", 3, float("nan")),
-        _set("entities", 3, 1.5),
-        _set("entities", 4, [None]),
-        _set("entities", 1, "\ud800 heat"),
-        _set("relations", 2, ""),
-        _set("relations", 3, "nowhere"),
-        _set("relations", 4, []),
-        _set("relations", 4, ["d1", 2]),
-        _set("relations", 5, ["later"]),
-        _set("relations", 5, [["acute"]]),
-        lambda p: p["relations"][0].pop(),
-        lambda p: p.update(doc_count="5"),
-        lambda p: p.update(doc_count=True),
-        lambda p: p.update(doc_count=-1),
-        lambda p: p.update(extra=1),
-        lambda p: p.pop("entities"),
-        lambda p: p.update(entities=p.pop("entities")),
-    ], ids=["entities-out-of-order", "relations-out-of-order", "repeated-id",
-            "repeated-triple", "int-id", "unknown-layer", "int-severity",
-            "nan-severity", "severity-out-of-range", "non-string-alias",
-            "lone-surrogate", "empty-predicate", "dangling-target", "no-docs",
-            "non-string-doc", "unknown-phase", "unhashable-phase", "short-row",
-            "string-doc-count", "bool-doc-count", "negative-doc-count",
-            "extra-key", "missing-key", "keys-reordered"])
-    def test_ill_formed_payload_rejected(self, tmp_path, edit):
+    # message: the SnapshotError text after the path, where it is pinned
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: _swap_first_two(p["entities"]), None,
+                     id="entities-out-of-order"),
+        pytest.param(lambda p: _swap_first_two(p["relations"]), None,
+                     id="relations-out-of-order"),
+        pytest.param(lambda p: p["relations"].append(p["relations"][-1]), None,
+                     id="repeated-id"),
+        pytest.param(_repeat_triple, None, id="repeated-triple"),
+        pytest.param(_set("entities", 0, 7), None, id="int-id"),
+        pytest.param(_set("entities", 2, "orbital"), "entity record 0 is ill-typed",
+                     id="unknown-layer"),
+        pytest.param(_set("entities", 3, 1), None, id="int-severity"),
+        pytest.param(_set("entities", 3, float("nan")),
+                     f"inconsistent snapshot: entity {_FIRST_ENTITY!r}: "
+                     f"severity nan not in [0, 1]", id="nan-severity"),
+        pytest.param(_set("entities", 3, 1.5), None, id="severity-out-of-range"),
+        pytest.param(_set("entities", 4, [None]), "entity record 0 is ill-typed",
+                     id="non-string-alias"),
+        pytest.param(_set("entities", 1, "\ud800 heat"), None, id="lone-surrogate"),
+        pytest.param(_set("relations", 2, ""),
+                     f"inconsistent snapshot: relation {_FIRST_RELATION!r}: "
+                     f"predicate must be non-empty", id="empty-predicate"),
+        pytest.param(_set("relations", 3, "nowhere"), None, id="dangling-target"),
+        pytest.param(_set("relations", 4, []), None, id="no-docs"),
+        pytest.param(_set("relations", 4, ["d1", 2]), "relation record 0 is ill-typed",
+                     id="non-string-doc"),
+        pytest.param(_set("relations", 5, ["later"]), None, id="unknown-phase"),
+        pytest.param(_set("relations", 5, [["acute"]]), "relation record 0 is ill-typed",
+                     id="unhashable-phase"),
+        pytest.param(lambda p: p["relations"][0].pop(), "relation record 0 is ill-typed",
+                     id="short-row"),
+        pytest.param(lambda p: p["entities"].__setitem__(0, "row"),
+                     "entity record 0 is ill-typed", id="non-list-row"),
+        pytest.param(_set("relations", 5, ["acute", None], record=-1),
+                     f"relation record {_LAST_RELATION} is ill-typed", id="last-record"),
+        pytest.param(lambda p: p.update(doc_count="5"), None, id="string-doc-count"),
+        pytest.param(lambda p: p.update(doc_count=True), None, id="bool-doc-count"),
+        pytest.param(lambda p: p.update(doc_count=-1), None, id="negative-doc-count"),
+        pytest.param(lambda p: p.update(extra=1), None, id="extra-key"),
+        pytest.param(lambda p: p.pop("entities"), None, id="missing-key"),
+        pytest.param(lambda p: p.update(entities=p.pop("entities")), None,
+                     id="keys-reordered"),
+    ])
+    def test_ill_formed_payload_rejected(self, tmp_path, edit, message):
         payload = json.loads(_FUZZ_SNAPSHOT[6:])
         edit(payload)
         path = tmp_path / "g.rpkg"
         path.write_bytes(_FUZZ_SNAPSHOT[:6] + json.dumps(
             payload, separators=(",", ":")).encode("ascii"))
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError) as excinfo:
             load_snapshot(path)
+        if message is not None:
+            assert str(excinfo.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("payload", [
         b"[" * 200_000,

@@ -124,6 +124,33 @@ class TestRun:
         assert summary.skipped == ["ingest", "pagerank"]
         assert summary.executed == ["discover", "report"]
 
+    def test_rerun_overwrites_manifest_in_place(self, tmp_path):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        # an open handle keeps the old inode from being reused by a new file
+        with open(workdir / "manifest.json", "rb") as held:
+            summary = run(make_config(tmp_path, scoring=ScoringConfig(theta_novelty=0.55)),
+                          workdir)
+            assert summary.executed == ["discover", "report"]
+            assert os.path.samestat(os.fstat(held.fileno()),
+                                    os.stat(workdir / "manifest.json"))
+
+    def test_junk_manifest_overwritten_by_one_document(self, tmp_path, caplog):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "manifest.json").write_bytes(b"#" * 2000)
+        with open(workdir / "manifest.json", "rb") as held:
+            with caplog.at_level(logging.WARNING, logger="riskpath"):
+                run(config, workdir)
+            assert os.path.samestat(os.fstat(held.fileno()),
+                                    os.stat(workdir / "manifest.json"))
+        assert "manifest unreadable" in caplog.text
+        # json.loads rejects any stale byte left after the document
+        rows = json.loads((workdir / "manifest.json").read_bytes())
+        assert [row["stage_name"] for row in rows] == list(pipeline.STAGE_ORDER)
+
     @staticmethod
     def corrupt_and_rerun(tmp_path, artifact):
         config = make_config(tmp_path)
