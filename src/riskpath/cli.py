@@ -312,8 +312,6 @@ def cmd_pipeline(args) -> int:
         if not args.config:
             raise SystemExit("pipeline run requires --config")
         config = PipelineConfig.from_json_file(args.config)
-        if args.workers is not None:
-            config.workers = args.workers
         summary = pipeline_run(config, _resolve_workdir(args.workdir))
     else:
         summary = pipeline_resume(_resolve_workdir(args.workdir))
@@ -424,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["run", "resume"])
     p.add_argument("--config", help="pipeline config JSON (required for run)")
     p.add_argument("--workdir", help="working directory (default $RISKPATH_WORKDIR)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; has no effect "
-                        "(discovery runs on one thread)")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_pipeline)
 

@@ -42,6 +42,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, islice, repeat
+from numbers import Real
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphBuildError, SnapshotError, UnknownEntityError
@@ -119,11 +120,15 @@ class Entity(_EntityFields):
             raise GraphBuildError(f"entity {id!r}: canonical_name must be non-empty")
         if not isinstance(layer, Layer):
             raise GraphBuildError(f"entity {id!r}: layer must be a Layer")
+        if isinstance(severity, bool) or not isinstance(severity, Real):
+            raise GraphBuildError(f"entity {id!r}: severity must be a number, "
+                                  f"got {severity!r}")
         if not 0.0 <= severity <= 1.0:
             raise GraphBuildError(f"entity {id!r}: severity {severity} not in [0, 1]")
         if not isinstance(aliases, frozenset):
             aliases = frozenset(aliases)
-        return tuple.__new__(cls, (id, canonical_name, layer, severity, aliases))
+        # stored as a float, the one type a snapshot's severity column holds
+        return tuple.__new__(cls, (id, canonical_name, layer, float(severity), aliases))
 
     @classmethod
     def _make(cls, iterable):

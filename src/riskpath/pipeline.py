@@ -101,7 +101,6 @@ class PipelineConfig:
     strict: bool = False
     malformed_tolerance: float = 0.1
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    workers: int = 1  # accepted for compatibility; has no effect
     prune: bool | None = None
     undirected: bool = False
     temporal_by: str = "target"
@@ -376,8 +375,7 @@ def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     centrality = CentralityScores.from_dict(
         _load_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
-                      workers=config.workers, prune=config.prune,
-                      undirected=config.undirected)
+                      prune=config.prune, undirected=config.undirected)
     _atomic_write_json(workdir / "pathways.json", result.to_json_dict(graph))
 
 

@@ -12,7 +12,10 @@ over the pathway's entities. Default weights are 0.5 / 0.3 / 0.2.
 All operations are pure functions over immutable inputs and safe to call
 concurrently. PageRank itself is a single-threaded deterministic power
 iteration on a sparse column-stochastic matrix with uniform teleport and
-uniform redistribution of dangling-node mass.
+uniform redistribution of dangling-node mass. The sparse matrix is three numpy
+arrays (target row, source column, weight), one entry per linked pair, sorted
+by row and then column; each iteration forms the product with ``np.bincount``
+over the rows, which adds each row's terms in that order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, asdict, fields, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .errors import ConfigError, ScoringError
 from .graph import KnowledgeGraph
@@ -225,16 +227,19 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     ids = list(graph.entities)
     index = {eid: i for i, eid in enumerate(ids)}
 
-    out_degree = np.zeros(n)
-    for rel in graph.relations.values():
-        out_degree[index[rel.source]] += 1.0
-    rows, cols, data = [], [], []
-    for rel in graph.relations.values():
-        src = index[rel.source]
-        rows.append(index[rel.target])
-        cols.append(src)
-        data.append(1.0 / out_degree[src])
-    matrix = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    flat = [index[end] for rel in graph.relations.values()
+            for end in (rel.source, rel.target)]
+    src, dst = np.array(flat, dtype=np.intp).reshape(-1, 2).T
+    out_degree = np.bincount(src, minlength=n).astype(float)
+    # one transition entry per linked pair, sorted by (target, source)
+    pairs, copies = np.unique(dst * n + src, return_counts=True)
+    rows, cols = np.divmod(pairs, n)
+    weight = 1.0 / out_degree[cols]
+    data = weight.copy()
+    # a pair's parallel relations add their weights one at a time: a product
+    # or a pairwise sum rounds differently, and the stored scores would change
+    for k in range(2, copies.max(initial=1) + 1):
+        data[copies >= k] += weight[copies >= k]
     dangling = out_degree == 0.0
 
     damping = config.damping
@@ -243,7 +248,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     iterations = 0
     converged = False
     for _ in range(config.pr_max_iters):
-        new_rank = damping * (matrix @ rank + rank[dangling].sum() / n) + teleport
+        linked = np.bincount(rows, data * rank[cols], minlength=n)
+        new_rank = damping * (linked + rank[dangling].sum() / n) + teleport
         iterations += 1
         delta = np.abs(new_rank - rank).sum()
         rank = new_rank

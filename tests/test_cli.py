@@ -467,7 +467,7 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", "x"), ("d_max", 5.0), ("top_k", True), ("fmax_mode", 1),
-        ("workers", "two"), ("strict", 1), ("malformed_tolerance", False),
+        ("strict", 1), ("malformed_tolerance", False),
         ("prune", "yes"), ("aliases", 3), ("scoring", []),
         ("alpha", float("nan")), ("pr_tolerance", float("nan")),
         ("pr_tolerance", float("inf")), ("temporal_by", "bogus"),
@@ -490,6 +490,22 @@ class TestPipelineCommand:
                      "--workdir", str(wd)])
         assert code == 1
         assert repr(field) in capsys.readouterr().err
+        assert not (wd / "graph.rpkg").exists()
+
+    def test_removed_workers_knob_is_rejected(self, tmp_path, corpus_dir, capsys):
+        # the pipeline's "workers" had no effect and is gone, field and flag
+        config = {"triples": str(corpus_dir / "triples.jsonl"),
+                  "entities": str(corpus_dir / "entities.jsonl"), "workers": 1}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        wd = tmp_path / "wd"
+        assert main(["pipeline", "run", "--config", str(config_path),
+                     "--workdir", str(wd)]) == 1
+        assert "unknown pipeline config field(s): ['workers']" in capsys.readouterr().err
+        del config["workers"]
+        config_path.write_text(json.dumps(config))
+        assert main(["pipeline", "run", "--config", str(config_path),
+                     "--workdir", str(wd), "--workers", "2"]) == 2
         assert not (wd / "graph.rpkg").exists()
 
     @pytest.mark.parametrize("command, flag, value, field", [
@@ -556,3 +572,12 @@ class TestUsageErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the package's one array library
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, riskpath.cli; print(sorted(m for m in "
+             "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -65,6 +65,21 @@ class TestEntityValidation:
         with pytest.raises(GraphBuildError):
             make_entity("a", Layer.PHYSICAL, severity=-0.1)
 
+    def test_int_severity_stored_as_float_round_trips(self, tmp_path):
+        entities = [Entity("a", "a", Layer.PHYSICAL, 1), Entity("b", "b", Layer.SOCIAL, 0)]
+        assert [type(e.severity) for e in entities] == [float, float]
+        graph = build_graph(entities, [rel("r", "a", "b")])
+        save_snapshot(graph, tmp_path / "g.rpkg")
+        loaded = load_snapshot(tmp_path / "g.rpkg")
+        assert loaded.entities == graph.entities
+        assert loaded.entity("a").severity == 1.0
+
+    @pytest.mark.parametrize("severity", [True, False, "x", None],
+                             ids=lambda v: repr(v))
+    def test_non_number_severity_rejected(self, severity):
+        with pytest.raises(GraphBuildError, match="severity must be a number"):
+            Entity("a", "a", Layer.PHYSICAL, severity)
+
     def test_empty_name_rejected(self):
         with pytest.raises(GraphBuildError):
             Entity(id="a", canonical_name="", layer=Layer.SOCIAL, severity=0.5)

@@ -97,8 +97,7 @@ class TestRun:
         stats = CorpusStats.from_graph(graph)
         centrality = CentralityScores.from_dict(
             json.loads((workdir / "pagerank.json").read_text()))
-        expected = discover(graph, stats, centrality, config.scoring,
-                            workers=config.workers).to_json_dict(graph)
+        expected = discover(graph, stats, centrality, config.scoring).to_json_dict(graph)
         assert json.loads((workdir / "pathways.json").read_text()) == expected
 
     def test_rerun_skips_everything(self, tmp_path):

@@ -318,7 +318,7 @@ class TestPageRank:
         cent = pagerank(graph, DEFAULTS)
         assert cent.scores["a"] == 1.0
         assert cent.normalized["a"] == 1.0
-        assert cent.converged
+        assert cent.converged and cent.iterations_used == 1
 
     def test_two_node_cycle_is_half_half(self):
         entities = [make_entity("a", Layer.PHYSICAL), make_entity("b", Layer.SOCIAL)]
@@ -375,6 +375,31 @@ class TestPageRank:
         lax = pagerank(graph, ScoringConfig(pr_max_iters=2))
         assert not lax.converged
         assert lax.iterations_used == 2
+
+    def test_scores_keep_their_bits(self):
+        # every bit of every score, which the oracle's tolerance does not pin:
+        # eleven parallel a -> b out of a's 14 relations (their weights summed
+        # one at a time differ from 11 / 14 and from a pairwise sum), a
+        # self-loop on c, and d dangling
+        entities = [make_entity(eid, layer) for eid, layer in [
+            ("a", Layer.PHYSICAL), ("b", Layer.SOCIAL), ("c", Layer.ECONOMIC),
+            ("d", Layer.SOCIAL), ("e", Layer.PHYSICAL)]]
+        pairs = [("a", "b")] * 11 + [("a", "c"), ("a", "d"), ("a", "e"), ("b", "c"),
+                                      ("b", "d"), ("c", "a"), ("c", "c"), ("c", "b"),
+                                      ("e", "c")]
+        # distinct predicates: relations of one triple would merge into one
+        graph = build_graph(entities, [Relation(f"r{i:02d}", s, f"p{i:02d}", t, {"d1"})
+                                       for i, (s, t) in enumerate(pairs)])
+        cent = pagerank(graph, DEFAULTS)
+        assert (cent.iterations_used, cent.converged) == (26, True)
+        assert {eid: v.hex() for eid, v in cent.scores.items()} == {
+            "a": "0x1.3e7583f56b2ebp-3", "b": "0x1.099274e6b6eb0p-2",
+            "c": "0x1.56c69b29123e1p-2", "d": "0x1.714a6c7159603p-3",
+            "e": "0x1.1f1bdef3523d2p-4"}
+        assert {eid: v.hex() for eid, v in cent.normalized.items()} == {
+            "a": "0x1.dbada8a4a2978p-2", "b": "0x1.8cae8885a162cp-1",
+            "c": "0x1.0000000000000p+0", "d": "0x1.13cd7091b3a0bp-1",
+            "e": "0x1.acd9da2f4bdbep-3"}
 
     def test_dangling_mass_handling(self):
         # a -> b where b dangles; scores must still sum to one
