@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -25,12 +26,13 @@ from .ingest import TRIPLES_FORMATS, CorpusStats
 from .pipeline import (
     PipelineConfig,
     _atomic_write_json,
-    _load_json_object,
+    _atomic_write_text,
     ingest,
     resume as pipeline_resume,
     run as pipeline_run,
 )
-from .scoring import CentralityScores, ScoringConfig, pagerank, pagerank_stamp
+from .scoring import (CentralityScores, ScoringConfig, pagerank, pagerank_stamp,
+                      read_json_object)
 from .syngen import GenSpec, PlantedChain, generate, write_corpus
 
 logger = logging.getLogger("riskpath")
@@ -69,44 +71,41 @@ def _load_graph(workdir: Path) -> KnowledgeGraph:
 def _scoring_config(args) -> ScoringConfig:
     base = (ScoringConfig.from_json_file(args.config)
             if getattr(args, "config", None) else ScoringConfig())
-    return base.override(
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        gamma=getattr(args, "gamma", None),
-        theta_novelty=getattr(args, "theta", None),
-        d_max=getattr(args, "d_max", None),
-        top_k=getattr(args, "top_k", None),
-        fmax_mode=getattr(args, "fmax_mode", None),
-        freq_mode=getattr(args, "freq_mode", None),
-        damping=getattr(args, "damping", None),
-        pr_tolerance=getattr(args, "pr_tolerance", None),
-        pr_max_iters=getattr(args, "pr_max_iters", None),
-    )
+    return base.override(**{f.name: getattr(args, f.name, None)
+                            for f in fields(ScoringConfig)})
 
 
 def _add_scoring_flags(parser: argparse.ArgumentParser, centrality_only=False) -> None:
+    """One flag per ScoringConfig field, its dest the field name; a flag left
+    out (None) keeps the value from --config or the dataclass default."""
+    default = ScoringConfig
     if not centrality_only:
         parser.add_argument("--config", help="scoring config JSON (flags override)")
-        parser.add_argument("--alpha", type=float, help="LF weight (default 0.5)")
-        parser.add_argument("--beta", type=float, help="CLC weight (default 0.3)")
-        parser.add_argument("--gamma", type=float, help="IP weight (default 0.2)")
-        parser.add_argument("--theta", type=float,
-                            help="novelty threshold, strict (default 0.7)")
+        parser.add_argument("--alpha", type=float,
+                            help=f"LF weight (default {default.alpha})")
+        parser.add_argument("--beta", type=float,
+                            help=f"CLC weight (default {default.beta})")
+        parser.add_argument("--gamma", type=float,
+                            help=f"IP weight (default {default.gamma})")
+        parser.add_argument("--theta", dest="theta_novelty", metavar="THETA", type=float,
+                            help=f"novelty threshold, strict "
+                                 f"(default {default.theta_novelty})")
         parser.add_argument("--d-max", dest="d_max", type=int,
-                            help="maximum pathway edge length (default 5)")
+                            help=f"maximum pathway edge length (default {default.d_max})")
         parser.add_argument("--top-k", dest="top_k", type=int,
-                            help="pathways to return (default 10)")
+                            help=f"pathways to return (default {default.top_k})")
         parser.add_argument("--fmax-mode", dest="fmax_mode",
                             choices=["pathway-max", "edge-max"],
-                            help="LF normalizer (default pathway-max)")
+                            help=f"LF normalizer (default {default.fmax_mode})")
         parser.add_argument("--freq-mode", dest="freq_mode",
                             choices=["docs", "entities"],
                             help="co-attestation counted over relations or entities")
-    parser.add_argument("--damping", type=float, help="PageRank damping (default 0.85)")
+    parser.add_argument("--damping", type=float,
+                        help=f"PageRank damping (default {default.damping})")
     parser.add_argument("--pr-tolerance", dest="pr_tolerance", type=float,
-                        help="PageRank L1 stop tolerance (default 1e-10)")
+                        help=f"PageRank L1 stop tolerance (default {default.pr_tolerance})")
     parser.add_argument("--pr-max-iters", dest="pr_max_iters", type=int,
-                        help="PageRank iteration cap (default 200)")
+                        help=f"PageRank iteration cap (default {default.pr_max_iters})")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -176,7 +175,7 @@ def cmd_discover(args) -> int:
     pr_path = workdir / "pagerank.json"
     if pr_path.exists():
         centrality = CentralityScores.from_dict(
-            _load_json_object(pr_path, "pagerank scores"))
+            read_json_object(pr_path, "pagerank scores"))
         if (set(centrality.scores) != set(graph.entities)
                 or centrality.stamp != pagerank_stamp(graph, config)):
             logger.warning("pagerank.json does not match the graph; recomputing")
@@ -229,7 +228,7 @@ def cmd_export(args) -> int:
 
     relations = list(graph.relations.values())
     if args.pathways:
-        rows = _load_json_object(args.pathways, "pathways file").get("pathways", [])
+        rows = read_json_object(args.pathways, "pathways file").get("pathways", [])
         if not isinstance(rows, list):
             raise RiskPathError(f"{args.pathways}: 'pathways' must be a list")
         name_to_id = {e.canonical_name: eid for eid, e in graph.entities.items()}
@@ -271,7 +270,7 @@ def cmd_export(args) -> int:
     text = "\n".join(lines) + "\n"
 
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _atomic_write_text(Path(args.out), text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text, end="")
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, canonicalize, and build the graph")
     p.add_argument("--triples", required=True)
     p.add_argument("--triples-format", dest="triples_format",
-                   choices=TRIPLES_FORMATS, default="jsonl")
+                   choices=TRIPLES_FORMATS, default=PipelineConfig.triples_format)
     p.add_argument("--entities", required=True, help="entity metadata JSONL")
     p.add_argument("--aliases", help="JSON object of alias -> canonical name")
     p.add_argument("--layer-lexicon", dest="layer_lexicon",
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="treat unresolvable entities as failures")
     p.add_argument("--malformed-tolerance", dest="malformed_tolerance",
-                   type=float, default=0.1)
+                   type=float, default=PipelineConfig.malformed_tolerance)
     p.add_argument("--out", help="working directory (default $RISKPATH_WORKDIR)")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_ingest)
@@ -396,24 +395,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("syngen", help="generate a synthetic corpus with planted chains")
     p.add_argument("--docs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GenSpec.seed)
     p.add_argument("--entities-per-layer", dest="entities_per_layer",
-                   type=int, default=150)
-    p.add_argument("--min-relations", dest="min_relations", type=int, default=8)
-    p.add_argument("--max-relations", dest="max_relations", type=int, default=15)
+                   type=int, default=GenSpec.entities_per_layer)
+    p.add_argument("--min-relations", dest="min_relations", type=int,
+                   default=GenSpec.relations_per_doc[0])
+    p.add_argument("--max-relations", dest="max_relations", type=int,
+                   default=GenSpec.relations_per_doc[1])
     p.add_argument("--chain", action="append",
                    help='planted chain, e.g. "P,S,E,S,E:1" (repeatable)')
     p.add_argument("--background-noise", dest="background_noise",
-                   type=float, default=2.0)
+                   type=float, default=GenSpec.background_noise)
     p.add_argument("--same-layer-bias", dest="same_layer_bias",
-                   type=float, default=0.9)
+                   type=float, default=GenSpec.same_layer_bias)
     p.add_argument("--popularity-skew", dest="popularity_skew",
-                   type=float, default=1.3)
-    p.add_argument("--common-chains", dest="common_chains", type=int, default=12)
+                   type=float, default=GenSpec.popularity_skew)
+    p.add_argument("--common-chains", dest="common_chains", type=int,
+                   default=GenSpec.common_chains)
     p.add_argument("--planted-severity", dest="planted_severity",
-                   type=float, default=0.9)
+                   type=float, default=GenSpec.planted_severity)
     p.add_argument("--malformed-rate", dest="malformed_rate",
-                   type=float, default=0.0)
+                   type=float, default=GenSpec.malformed_rate)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_syngen)

@@ -56,6 +56,7 @@ from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
 from .graph import (SNAPSHOT_VERSION, build_graph, collector_paused, load_snapshot,
                     save_snapshot)
 from .ingest import (
+    DEFAULT_MALFORMED_TOLERANCE,
     TRIPLES_FORMATS,
     CorpusStats,
     aggregate,
@@ -65,7 +66,8 @@ from .ingest import (
     parse_entity_meta,
     parse_triples,
 )
-from .scoring import CentralityScores, ScoringConfig, check_field_types, pagerank
+from .scoring import (CentralityScores, ScoringConfig, check_field_types, pagerank,
+                      read_json_object)
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +101,7 @@ class PipelineConfig:
     aliases: str | None = None
     layer_lexicon: str | None = None
     strict: bool = False
-    malformed_tolerance: float = 0.1
+    malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     prune: bool | None = None
     undirected: bool = False
@@ -146,13 +148,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise ConfigError(f"cannot load pipeline config {path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: pipeline config must be a JSON object")
+        data = read_json_object(path, "pipeline config")
         if "triples" not in data or "entities" not in data:
             raise ConfigError(f"{path}: pipeline config needs 'triples' and 'entities'")
         return cls.from_dict(data)
@@ -264,18 +260,6 @@ def _load_json(path: Path):
         return json.load(fh)
 
 
-def _load_json_object(path, what: str) -> dict:
-    """Read a JSON object file; unparsable JSON or another JSON type is a
-    ConfigError naming ``what`` the file should hold."""
-    try:
-        data = _load_json(path)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {what} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: {what} must be a JSON object")
-    return data
-
-
 def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -> str:
     scoring = config.scoring
     if stage == "ingest":
@@ -315,7 +299,7 @@ def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -
 # --- stage bodies -------------------------------------------------------------
 
 def _string_map(path, what: str) -> dict[str, str]:
-    data = _load_json_object(path, what)
+    data = read_json_object(path, what)
     if not all(isinstance(value, str) for value in data.values()):
         raise ConfigError(f"{path}: {what} values must be strings")
     return data
@@ -373,7 +357,7 @@ def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
 def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     graph = load_snapshot(workdir / "graph.rpkg")
     centrality = CentralityScores.from_dict(
-        _load_json_object(workdir / "pagerank.json", "pagerank scores"))
+        read_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
                       prune=config.prune, undirected=config.undirected)
     _atomic_write_json(workdir / "pathways.json", result.to_json_dict(graph))

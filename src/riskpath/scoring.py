@@ -70,6 +70,20 @@ def check_field_types(config) -> None:
                               f"got {value!r}")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds. A file that cannot be read or
+    decoded, or that holds another JSON type, is a ConfigError naming
+    ``what`` the file should hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        raise ConfigError(f"cannot load {what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return data
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     """Weights, thresholds, and traversal/centrality parameters.
@@ -132,14 +146,7 @@ class ScoringConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ScoringConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise ConfigError(f"cannot load scoring config {path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: scoring config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path, "scoring config"))
 
     def override(self, **changes) -> "ScoringConfig":
         changes = {k: v for k, v in changes.items() if v is not None}

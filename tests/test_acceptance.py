@@ -173,28 +173,18 @@ def test_criterion_4_oracle_equivalence():
                                    top_k=top_k, fmax_mode=fmax_mode)
             centrality = pagerank(graph, config)
             oracle = enumerate_oracle(graph, stats, centrality, config)
-            payloads = {False: set(), True: set()}
-            for workers in (1, 2, 8):
-                for prune in (False, True):
-                    got = discover(graph, stats, centrality, config,
-                                   workers=workers, prune=prune)
-                    runs += 1
-                    label = (f"seed={seed} mode={fmax_mode} "
-                             f"workers={workers} prune={prune}")
-                    assert got.pathways == oracle.pathways, label
-                    assert got.f_max_used == oracle.f_max_used, label
-                    assert got.sources_processed == oracle.sources_processed
-                    if not (prune and fmax_mode == "edge-max"):
-                        assert got.candidates_enumerated == \
-                            oracle.candidates_enumerated, label
-                    payloads[prune].add(json.dumps(got.to_json_dict(graph),
-                                                   sort_keys=True))
-            # byte-identical across worker counts for each prune setting
-            assert len(payloads[False]) == 1, f"seed={seed} {fmax_mode}"
-            assert len(payloads[True]) == 1, f"seed={seed} {fmax_mode}"
+            for prune in (False, True):
+                got = discover(graph, stats, centrality, config, prune=prune)
+                runs += 1
+                label = f"seed={seed} mode={fmax_mode} prune={prune}"
+                assert got.pathways == oracle.pathways, label
+                assert got.f_max_used == oracle.f_max_used, label
+                assert got.sources_processed == oracle.sources_processed
+                if not (prune and fmax_mode == "edge-max"):
+                    assert got.candidates_enumerated == \
+                        oracle.candidates_enumerated, label
     _report("criterion 4 (oracle equivalence)", started, 120.0,
-            f"100 graphs x 2 fmax modes x 3 worker counts x prune on/off "
-            f"({runs} runs)")
+            f"100 graphs x 2 fmax modes x prune on/off ({runs} runs)")
 
 
 def test_criterion_5_constraint_compliance():
@@ -332,17 +322,12 @@ def test_criterion_9_scale_sanity():
     centrality = pagerank(graph, config)
 
     t_discover = time.monotonic()
-    baseline = discover(graph, stats, centrality, config, workers=1)
+    discover(graph, stats, centrality, config)
     elapsed_discover = time.monotonic() - t_discover
     assert elapsed_discover < 60.0, f"discovery took {elapsed_discover:.1f}s"
-
-    reference = json.dumps(baseline.to_json_dict(graph), sort_keys=True)
-    for workers in (2, 8):
-        other = discover(graph, stats, centrality, config, workers=workers)
-        assert json.dumps(other.to_json_dict(graph), sort_keys=True) == reference
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 ** 2)
     assert peak_gb < 4.0, f"peak RSS {peak_gb:.2f} GB"
     _report("criterion 9 (scale sanity)", started, 300.0,
             f"100k relations, d_max=3: discovery {elapsed_discover:.1f}s, "
-            f"peak RSS {peak_gb:.2f} GB, deterministic across workers 1/2/8")
+            f"peak RSS {peak_gb:.2f} GB")

@@ -9,8 +9,11 @@ is a hand-made graph of six entities, so that a mutated ``d_max`` or
 ``top_k`` cannot make a run long.
 """
 
+import contextlib
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,6 +99,19 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+@contextlib.contextmanager
+def _example_dir(tmp_path):
+    """A new directory for one example, removed when it ends. Rewriting or
+    renaming over a file makes ext4 write it to disk, and removing it later
+    waits for that; a file only created and removed within one example
+    costs no such wait."""
+    path = Path(tempfile.mkdtemp(dir=tmp_path))
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path)
+
+
 def _exits_cleanly(capsys, argv, pathways=None) -> None:
     code = main(argv)
     err = capsys.readouterr().err
@@ -109,43 +125,40 @@ class TestFuzzedJsonArtifacts:
     @given(data=st.data())
     @_FUZZ
     def test_pipeline_resume(self, done_workdir, tmp_path, capsys, name, data):
-        workdir = tmp_path / "work"
-        shutil.rmtree(workdir, ignore_errors=True)
-        shutil.copytree(done_workdir, workdir)
-        (workdir / name).write_bytes(_mutate(data, (done_workdir / name).read_bytes()))
-        _exits_cleanly(capsys, ["pipeline", "resume", "--workdir", str(workdir)],
-                       workdir / "pathways.json")
+        with _example_dir(tmp_path) as root:
+            workdir = root / "work"
+            shutil.copytree(done_workdir, workdir)
+            (workdir / name).write_bytes(_mutate(data, (done_workdir / name).read_bytes()))
+            _exits_cleanly(capsys, ["pipeline", "resume", "--workdir", str(workdir)],
+                           workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ
     def test_discover_pagerank_json(self, done_workdir, tmp_path, capsys, data):
-        workdir = tmp_path / "work"
-        if not workdir.exists():
-            workdir.mkdir()
+        with _example_dir(tmp_path) as workdir:
             shutil.copy(done_workdir / "graph.rpkg", workdir)
-        raw = (done_workdir / "pagerank.json").read_bytes()
-        (workdir / "pagerank.json").write_bytes(_mutate(data, raw))
-        _exits_cleanly(capsys, ["discover", str(workdir)], workdir / "pathways.json")
+            raw = (done_workdir / "pagerank.json").read_bytes()
+            (workdir / "pagerank.json").write_bytes(_mutate(data, raw))
+            _exits_cleanly(capsys, ["discover", str(workdir)], workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ
     def test_discover_scoring_config(self, done_workdir, tmp_path, capsys, data):
-        workdir = tmp_path / "work"
-        if not workdir.exists():
-            workdir.mkdir()
-            for name in ("graph.rpkg", "pagerank.json"):
-                shutil.copy(done_workdir / name, workdir)
         raw = json.dumps({"theta_novelty": 0.0, "d_max": 3, "top_k": 5,
                           "fmax_mode": "edge-max"}, indent=2).encode("utf-8")
-        config = tmp_path / "scoring.json"
-        config.write_bytes(_mutate(data, raw))
-        _exits_cleanly(capsys, ["discover", str(workdir), "--config", str(config)],
-                       workdir / "pathways.json")
+        with _example_dir(tmp_path) as workdir:
+            for name in ("graph.rpkg", "pagerank.json"):
+                shutil.copy(done_workdir / name, workdir)
+            config = workdir / "scoring.json"
+            config.write_bytes(_mutate(data, raw))
+            _exits_cleanly(capsys, ["discover", str(workdir), "--config", str(config)],
+                           workdir / "pathways.json")
 
     @given(data=st.data())
     @_FUZZ
     def test_export_pathways(self, done_workdir, tmp_path, capsys, data):
-        pathways = tmp_path / "pathways.json"
-        pathways.write_bytes(_mutate(data, (done_workdir / "pathways.json").read_bytes()))
-        _exits_cleanly(capsys, ["export", str(done_workdir), "--pathways", str(pathways),
-                                "--out", str(tmp_path / "out.dot")])
+        with _example_dir(tmp_path) as root:
+            pathways = root / "pathways.json"
+            pathways.write_bytes(_mutate(data, (done_workdir / "pathways.json").read_bytes()))
+            _exits_cleanly(capsys, ["export", str(done_workdir), "--pathways", str(pathways),
+                                    "--out", str(root / "out.dot")])

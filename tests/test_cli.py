@@ -1,8 +1,10 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,14 @@ from riskpath import (
     pagerank,
     save_snapshot,
 )
+from riskpath import cli
 from riskpath.cli import main
 from riskpath.pipeline import PipelineConfig, run
 from riskpath.syngen import generate, write_corpus
 from util import TEMPORAL_REFERENCE_CELLS, subprocess_env, temporal_reference_graph
+
+# each subcommand's --help at 80 columns, as argparse of Python 3.11 prints it
+HELP_TEXT = json.loads((Path(__file__).parent / "cli_help.json").read_text("utf-8"))
 
 CHAIN = PlantedChain((Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC), attestations=1)
 
@@ -391,6 +397,19 @@ class TestExportCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_out_write_keeps_old_file(self, workdir, tmp_path, capsys,
+                                             monkeypatch):
+        out = tmp_path / "graph.dot"
+        out.write_bytes(b"old bytes\n")
+
+        def no_replace(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        assert main(["export", str(workdir), "--out", str(out)]) == 1
+        assert "error: replace refused" in capsys.readouterr().err
+        assert out.read_bytes() == b"old bytes\n"
+
 
 class TestSyngenCommand:
     def test_generates_corpus(self, tmp_path, capsys):
@@ -560,6 +579,84 @@ class TestPipelineCommand:
 
     def test_run_without_config_usage_error(self, tmp_path):
         assert main(["pipeline", "run", "--workdir", str(tmp_path)]) == 2
+
+
+class TestSettingsDefinedOnce:
+    """Every default comes from its config dataclass, every JSON config or
+    artifact goes through one reader, and the help text stays as it was."""
+
+    @staticmethod
+    def _record(monkeypatch, name, result=None):
+        """Replace ``cli.<name>`` by a recorder of its positional arguments;
+        it returns ``result``, or what the original returns when None."""
+        original, calls = getattr(cli, name), []
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs) if result is None else result
+
+        monkeypatch.setattr(cli, name, recorder)
+        return calls
+
+    def test_discover_builds_stock_scoring_config(self, workdir, monkeypatch):
+        calls = self._record(monkeypatch, "discover")
+        assert main(["discover", str(workdir)]) == 0
+        [(_, _, _, config)] = calls
+        assert config == ScoringConfig()
+
+    def test_ingest_builds_stock_pipeline_config(self, tmp_path, monkeypatch):
+        summary = {"entities": 0, "relations": 0, "doc_count": 0,
+                   "parse_errors": 0, "rejections": 0, "unregistered": 0}
+        calls = self._record(monkeypatch, "ingest", summary)
+        assert main(["ingest", "--triples", "t.jsonl", "--entities", "e.jsonl",
+                     "--out", str(tmp_path / "wd")]) == 0
+        [(config, _)] = calls
+        assert config == PipelineConfig(triples="t.jsonl", entities="e.jsonl")
+
+    def test_syngen_builds_stock_gen_spec(self, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch, "generate")
+        assert main(["syngen", "--docs", "1", "--out", str(tmp_path / "c")]) == 0
+        assert calls == [(GenSpec(n_docs=1),)]
+
+    _INGEST = ["ingest", "--triples", "{corpus}/triples.jsonl",
+               "--entities", "{corpus}/entities.jsonl", "--out", "{tmp}/out"]
+
+    # what the file holds, where the bad bytes go ({bad} is tmp/bad.json), argv
+    @pytest.mark.parametrize("content", [b'{"a": "\xff"}', b"{bad", b"[]"],
+                             ids=["not-utf8", "unparsable", "json-list"])
+    @pytest.mark.parametrize("what, target, argv", [
+        pytest.param("scoring config", "{bad}", ["discover", "{wd}", "--config", "{bad}"],
+                     id="discover-config"),
+        pytest.param("pipeline config", "{bad}",
+                     ["pipeline", "run", "--config", "{bad}", "--workdir", "{tmp}/run"],
+                     id="run-config"),
+        pytest.param("pipeline config", "{wd}/config.json",
+                     ["pipeline", "resume", "--workdir", "{wd}"], id="resume-config"),
+        pytest.param("alias file", "{bad}", _INGEST + ["--aliases", "{bad}"],
+                     id="ingest-aliases"),
+        pytest.param("layer lexicon", "{bad}", _INGEST + ["--layer-lexicon", "{bad}"],
+                     id="ingest-layer-lexicon"),
+        pytest.param("pagerank scores", "{wd}/pagerank.json", ["discover", "{wd}"],
+                     id="pagerank-json"),
+        pytest.param("pathways file", "{bad}", ["export", "{wd}", "--pathways", "{bad}"],
+                     id="export-pathways"),
+    ])
+    def test_bad_json_file_names_what_it_should_hold(
+            self, workdir, corpus_dir, tmp_path, capsys, content, what, target, argv):
+        names = {"bad": tmp_path / "bad.json", "wd": workdir, "corpus": corpus_dir,
+                 "tmp": tmp_path}
+        (workdir / "manifest.json").write_text("[]")
+        Path(target.format(**names)).write_bytes(content)
+        capsys.readouterr()
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f" {what} " in err, err
+
+    @pytest.mark.parametrize("command", sorted(HELP_TEXT))
+    def test_help_text_unchanged(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == HELP_TEXT[command]
 
 
 class TestUsageErrors:

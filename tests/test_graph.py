@@ -472,12 +472,15 @@ class TestSnapshotV2:
         data = bytearray(_FUZZ_SNAPSHOT)
         for pos, mask in flips:
             data[pos] ^= mask
-        path = tmp_path / "fuzz.rpkg"
-        path.write_bytes(bytes(data[:cut]))
-        try:
-            graph = load_snapshot(path)
-        except SnapshotError:
-            return
+        # a fresh file per example, removed when it ends: truncating one path
+        # over and over makes each rewrite wait for the disk
+        with tempfile.NamedTemporaryFile(dir=tmp_path, suffix=".rpkg") as fh:
+            fh.write(bytes(data[:cut]))
+            fh.flush()
+            try:
+                graph = load_snapshot(fh.name)
+            except SnapshotError:
+                return
         assert isinstance(graph, KnowledgeGraph)
 
     # message: the SnapshotError text after the path, where it is pinned
