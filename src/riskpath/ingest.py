@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import ConfigError, IngestError
@@ -39,6 +40,13 @@ class RawTriple(NamedTuple):
     object: str
     doc_id: str
     phases: frozenset[Phase] = frozenset()
+
+
+_NO_PHASES = RawTriple._field_defaults["phases"]
+# the C scanner behind json.loads, without its per-call wrapper
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+_triple_values = itemgetter(*_TRIPLE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,11 @@ def _check_triple_fields(values: tuple, check_encoding: bool) -> None:
 
 
 def _triple_from_json(line_no: int, text: str) -> RawTriple:
-    record = json.loads(text)
+    return _triple_from_record(line_no, text, json.loads(text))
+
+
+def _triple_from_record(line_no: int, text: str, record) -> RawTriple:
+    """The triple of ``record``, the JSON value decoded from line ``text``."""
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
     try:
@@ -119,7 +131,8 @@ def _triple_from_json(line_no: int, text: str) -> RawTriple:
         raise ValueError(f"missing field(s) {missing}") from None
     # a lone surrogate comes only from a non-ASCII line or a \uD800-\uDFFF
     # escape; the fields of any other line need no UTF-8 encode check
-    may_hold_surrogate = not text.isascii() or _SURROGATE_ESCAPE.search(text)
+    may_hold_surrogate = not text.isascii() or (
+        "\\u" in text and _SURROGATE_ESCAPE.search(text))
     try:
         fields = tuple(map(str.strip, values))
     except TypeError:  # a field that is not a string
@@ -142,10 +155,10 @@ def _triple_from_tsv(line_no: int, text: str) -> RawTriple:
     for name, value in zip(("s", "p", "o", "doc"), stripped):
         if not value:
             raise ValueError(f"column {name!r} is empty")
-    phases = frozenset()
+    phases = _NO_PHASES
     if len(cols) == 5 and cols[4].strip():
         phases = _parse_phases([p for p in cols[4].split(",") if p.strip()], line_no)
-    return RawTriple(*stripped, phases)
+    return tuple.__new__(RawTriple, (*stripped, phases))
 
 
 def check_malformed_tolerance(tolerance: float) -> None:
@@ -162,24 +175,49 @@ def parse_triples(stream: TextIO, format: str = "jsonl",
     Returns (valid triples in file order, error report rows with ``line`` and
     ``reason``). Blank lines are skipped. If the malformed fraction exceeds
     ``malformed_tolerance``, the whole parse fails with IngestError.
+
+    Each JSONL line is decoded once, by the C scanner behind ``json.loads``.
+    A plain record becomes its triple directly: an ASCII line with no
+    ``\\u`` escape holding an object whose keys are exactly ``s``, ``p``,
+    ``o`` and ``doc`` with non-blank string values; it cannot hold a lone
+    surrogate and has no phases. Any other decoded value goes through
+    ``_triple_from_record``. A line that does not decode on its own from its
+    first character (blank, leading whitespace, a BOM, extra data, a
+    defect) goes through ``_triple_from_json``, whose ``json.loads`` words
+    the decode error; these two alone produce error reasons. A record nested
+    too deeply to decode is a malformed record.
     """
     if format not in TRIPLES_FORMATS:
         raise ConfigError(f"unknown triples format {format!r}")
     check_malformed_tolerance(malformed_tolerance)
-    parse_one = _triple_from_json if format == "jsonl" else _triple_from_tsv
+    jsonl = format == "jsonl"
+    parse_one = _triple_from_json if jsonl else _triple_from_tsv
 
     triples: list[RawTriple] = []
     errors: list[dict] = []
-    total = 0
     for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        total += 1
         try:
-            triples.append(parse_one(line_no, line))
-        except (ValueError, json.JSONDecodeError) as exc:
+            if jsonl:
+                try:
+                    record, end = _scan_json(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = None  # parse_one decodes it again to word the error
+                if end is not None and not line[end:].strip(_JSON_SPACE):
+                    try:
+                        s, p, o, doc = map(str.strip, _triple_values(record))
+                        plain = (len(record) == 4 and s and p and o and doc
+                                 and line.isascii() and "\\u" not in line)
+                    except (KeyError, TypeError):  # not four string fields
+                        plain = False
+                    triples.append(tuple.__new__(RawTriple, (s, p, o, doc, _NO_PHASES))
+                                   if plain else _triple_from_record(line_no, line, record))
+                    continue
+            if line.strip():
+                triples.append(parse_one(line_no, line))
+        except (ValueError, RecursionError) as exc:
             errors.append({"line": line_no, "reason": str(exc)})
 
+    total = len(triples) + len(errors)
     if total and len(errors) / total > malformed_tolerance:
         raise IngestError(
             f"{len(errors)} of {total} records malformed "
@@ -240,8 +278,8 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         return canonical
 
     result = [
-        RawTriple(resolved.get(s) or resolve(s), p.strip(),
-                  resolved.get(o) or resolve(o), doc_id, phases)
+        tuple.__new__(RawTriple, (resolved.get(s) or resolve(s), p.strip(),
+                                  resolved.get(o) or resolve(o), doc_id, phases))
         for s, p, o, doc_id, phases in triples
     ]
     return result, sorted(unregistered)
@@ -299,7 +337,8 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         if group is None:
             group = grouped[s, p, o] = (set(), set())
         group[0].add(doc_id)
-        group[1].update(phases)
+        if phases:
+            group[1].update(phases)
 
     names = sorted({name for s, _, o in grouped for name in (s, o)})
     entities: dict[str, Entity] = {}
@@ -374,7 +413,7 @@ def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
                 severity=float(record["severity"]),
                 aliases=tuple(aliases),
             ))
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise IngestError(f"entity metadata line {line_no}: {exc}") from None
     return entries
 

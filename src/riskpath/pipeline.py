@@ -18,7 +18,8 @@ with every stage downstream of it (stages are deterministic, so cascading
 re-runs reproduce identical bytes). Outputs
 are written atomically (temp file + rename), so a crash at any point leaves
 either the old state or the new state, never a torn file, and a resumed run
-finishes with byte-identical final outputs. ``manifest.json`` is overwritten
+finishes with byte-identical final outputs. An output that already holds the
+bytes a stage would write is left in place. ``manifest.json`` is overwritten
 in place instead, under the lock: a torn manifest either does not decode,
 and the run starts fresh, or each of its records is checked against the
 stage's input fingerprint and output hashes before any output is reused.
@@ -240,10 +241,34 @@ def _hash_inputs(paths: dict[str, str | None]) -> dict[str, str]:
     return hashes
 
 
+def _same_bytes(path: Path, other: Path) -> bool:
+    """Whether two files hold the same bytes, read a MiB at a time."""
+    try:
+        with open(path, "rb") as a, open(other, "rb") as b:
+            if os.fstat(a.fileno()).st_size != os.fstat(b.fileno()).st_size:
+                return False
+            while block := a.read(1 << 20):
+                if block != b.read(1 << 20):
+                    return False
+            return True
+    except OSError:
+        return False
+
+
+def _replace_unless_same(tmp: Path, path: Path) -> None:
+    """Rename ``tmp`` over ``path``, or delete it when ``path`` already holds
+    its bytes: on ext4, a rename over a file that an earlier rename put in
+    place waits for a writeback, and deleting such a file later waits too."""
+    if _same_bytes(path, tmp):
+        tmp.unlink()
+    else:
+        os.replace(tmp, path)
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    _replace_unless_same(tmp, path)
 
 
 def _atomic_write_json(path: Path, data) -> None:
@@ -253,11 +278,6 @@ def _atomic_write_json(path: Path, data) -> None:
 def _atomic_write_jsonl(path: Path, rows: list[dict]) -> None:
     _atomic_write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n"
                                      for row in rows))
-
-
-def _load_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -> str:
@@ -318,7 +338,8 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
     """Parse, canonicalize and aggregate the input files into ``graph.rpkg``.
 
     Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
-    every file is written atomically. Returns counts for a summary line.
+    every file is written atomically, and one that already holds the new
+    bytes is left in place. Returns counts for a summary line.
     The cyclic garbage collector is paused for the call
     (``graph.collector_paused``).
     """
@@ -340,7 +361,7 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
         tmp = workdir / "graph.rpkg.tmp"
         save_snapshot(graph, tmp)
-        os.replace(tmp, workdir / "graph.rpkg")
+        _replace_unless_same(tmp, workdir / "graph.rpkg")
         _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
         _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
     return {"entities": len(graph.entities), "relations": len(graph.relations),
@@ -365,7 +386,7 @@ def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
 
 def _stage_report(config: PipelineConfig, workdir: Path) -> None:
     graph = load_snapshot(workdir / "graph.rpkg")
-    pathways = _load_json(workdir / "pathways.json")
+    pathways = read_json_object(workdir / "pathways.json", "pathways file")
     _atomic_write_json(workdir / "report_temporal.json",
                        temporal_distribution(graph, by=config.temporal_by).to_dict())
     _atomic_write_json(workdir / "report_layers.json",
@@ -392,13 +413,15 @@ def _load_manifest(workdir: Path) -> dict[str, StageRecord]:
     if not path.exists():
         return {}
     try:
-        rows = _load_json(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = json.load(fh)
         if not (isinstance(rows, list) and all(
                 isinstance(row, dict) and row.keys() == StageRecord.__dataclass_fields__.keys()
                 for row in rows)):
             raise ConfigError("not a list of stage records")
         records = [StageRecord(**row) for row in rows]
-    except (ValueError, ConfigError) as exc:  # ValueError: bad JSON or not UTF-8
+    # ValueError: bad JSON or not UTF-8; RecursionError: nested too deeply
+    except (ValueError, RecursionError, ConfigError) as exc:
         logger.warning("manifest unreadable (%s); starting fresh", exc)
         return {}
     return {record.stage_name: record for record in records}

@@ -77,7 +77,8 @@ def read_json_object(path, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or not UTF-8; RecursionError: nested too deeply
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")

@@ -21,7 +21,8 @@ from riskpath import (
     pagerank,
     save_snapshot,
 )
-from riskpath import cli
+from riskpath import ConfigError, cli
+from riskpath import pipeline
 from riskpath.cli import main
 from riskpath.pipeline import PipelineConfig, run
 from riskpath.syngen import generate, write_corpus
@@ -657,6 +658,80 @@ class TestSettingsDefinedOnce:
         monkeypatch.setenv("COLUMNS", "80")
         assert main([command, "--help"]) == 0
         assert capsys.readouterr().out == HELP_TEXT[command]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
+
+
+def _exit_one_without_traceback(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    return err
+
+
+class TestDeeplyNestedJson:
+    """Every JSON reader ends a document nested too deeply to decode with a
+    typed error."""
+
+    def test_triples_line(self, tmp_path, corpus_dir, capsys):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text((corpus_dir / "triples.jsonl").read_text() + DEEP + "\n")
+        line = len(triples.read_text().splitlines())
+        err = _exit_one_without_traceback(capsys, [
+            "ingest", "--triples", str(triples), "--entities",
+            str(corpus_dir / "entities.jsonl"), "--malformed-tolerance", "0",
+            "--out", str(tmp_path / "w")])
+        assert f"first error at line {line}: maximum recursion depth exceeded" in err
+
+    def test_entities_line(self, tmp_path, corpus_dir, capsys):
+        entities = tmp_path / "entities.jsonl"
+        entities.write_text((corpus_dir / "entities.jsonl").read_text() + DEEP + "\n")
+        line = len(entities.read_text().splitlines())
+        err = _exit_one_without_traceback(capsys, [
+            "ingest", "--triples", str(corpus_dir / "triples.jsonl"),
+            "--entities", str(entities), "--out", str(tmp_path / "w")])
+        assert f"entity metadata line {line}: maximum recursion depth exceeded" in err
+
+    @pytest.mark.parametrize("name, what", [("pagerank.json", "pagerank scores"),
+                                            ("scoring.json", "scoring config")])
+    def test_discover_input(self, workdir, capsys, name, what):
+        assert main(["pagerank", str(workdir)]) == 0
+        (workdir / name).write_text(DEEP)
+        err = _exit_one_without_traceback(capsys, ["discover", str(workdir), "--config",
+                                                   str(workdir / name)]
+                                          if name == "scoring.json"
+                                          else ["discover", str(workdir)])
+        assert f"cannot load {what} " in err and "maximum recursion depth" in err
+
+    def test_manifest_starts_fresh(self, tmp_path, corpus_dir, capsys, caplog):
+        wd = tmp_path / "wd"
+        run(PipelineConfig(triples=corpus_dir / "triples.jsonl",
+                           entities=corpus_dir / "entities.jsonl"), wd)
+        (wd / "manifest.json").write_text(DEEP)
+        with caplog.at_level(logging.WARNING, logger="riskpath"):
+            code, summary = run_json(capsys, ["pipeline", "resume", "--workdir", str(wd),
+                                              "--format", "json"])
+        assert code == 0
+        assert "manifest unreadable (maximum recursion depth" in caplog.text
+        assert summary["executed"] == ["ingest", "pagerank", "discover", "report"]
+
+    def test_pathways_read_by_report(self, tmp_path, corpus_dir, capsys):
+        wd = tmp_path / "wd"
+        run(PipelineConfig(triples=corpus_dir / "triples.jsonl",
+                           entities=corpus_dir / "entities.jsonl"), wd)
+        (wd / "pathways.json").write_text(DEEP)
+        with pytest.raises(ConfigError, match="cannot load pathways file .* maximum recursion"):
+            pipeline._stage_report(PipelineConfig.from_json_file(wd / "config.json"), wd)
+        # a pathways.json that its manifest record vouches for: discover is
+        # kept and the report stage reads it
+        rows = json.loads((wd / "manifest.json").read_text())
+        discover_row, = (row for row in rows if row["stage_name"] == "discover")
+        discover_row["output_fingerprints"] = [pipeline._sha256_file(wd / "pathways.json")]
+        (wd / "manifest.json").write_text(json.dumps(rows))
+        err = _exit_one_without_traceback(capsys, ["pipeline", "resume", "--workdir", str(wd)])
+        assert "stage report failed" in err and "cannot load pathways file" in err
 
 
 class TestUsageErrors:

@@ -22,7 +22,9 @@ from riskpath import (
     parse_entity_meta,
     parse_triples,
 )
-from riskpath.ingest import build_alias_map, load_layer_lexicon, relation_id
+import riskpath.ingest as ingest_module
+from riskpath.ingest import (_triple_from_json, build_alias_map, load_layer_lexicon,
+                             relation_id)
 from riskpath.pipeline import PipelineConfig, ingest
 
 
@@ -445,3 +447,110 @@ class TestGoldenIngest:
         digests = tuple(hashlib.sha256((workdir / name).read_bytes()).hexdigest()
                         for name in ("graph.rpkg", "rejections.jsonl", "parse_errors.jsonl"))
         assert digests == GOLDEN_SHA256[fmt]
+
+
+# --- the direct decode of plain JSONL records ----------------------------------
+
+def _parse_line_by_line(text: str) -> tuple[list[RawTriple], list[dict]]:
+    """parse_triples as it reads without its direct decode: every line
+    through _triple_from_json."""
+    triples, errors = [], []
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            triples.append(_triple_from_json(line_no, line))
+        except (ValueError, RecursionError) as exc:
+            errors.append({"line": line_no, "reason": str(exc)})
+    return triples, errors
+
+
+_FIELD_VALUES = st.one_of(
+    st.text(alphabet="abZ-. \t", max_size=5),
+    st.sampled_from([" Heat  Wave ", "\u00e9t\u00e9", "\u6c34", "\ud800", "d\udfff",
+                     "\\u00e9", " x"]),
+    st.none(), st.integers(-1, 2), st.just(["a"]))
+
+
+@st.composite
+def _triples_line(draw) -> str:
+    """One line of a triples stream: a record, plain or not, or a defect."""
+    kind = draw(st.sampled_from(["record"] * 4 + ["defect", "blank", "deep"]))
+    if kind == "defect":
+        return draw(st.sampled_from([line for line, _ in REASON_CASES.values()]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t \r", "\r"]))
+    if kind == "deep":
+        return "[" * 3000 + "]" * 3000
+    keys = draw(st.permutations(["s", "p", "o", "doc"]))
+    record = {key: draw(_FIELD_VALUES) if draw(st.booleans()) else f"{key}-value"
+              for key in keys[:draw(st.integers(2, 4))]}
+    if draw(st.booleans()):
+        record["phases"] = draw(st.sampled_from(
+            [[], ["acute"], ["Chronic", "acute"], ["someday"], "acute", None]))
+    if draw(st.booleans()):
+        record["x"] = 1
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([(", ", ": "), (",", ":")])))
+    if draw(st.booleans()):
+        line = '{"s": "first", ' + line[1:]  # a repeated key: the last one counts
+    return (draw(st.sampled_from(["", "", " ", "\t", "\ufeff"])) + line
+            + draw(st.sampled_from(["", "", " ", "\r"])))
+
+
+class TestDirectDecode:
+    @given(lines=st.lists(_triples_line(), max_size=12),
+           end=st.sampled_from(["\n", ""]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_triple_from_json_line_by_line(self, lines, end):
+        text = "\n".join(lines) + end
+        triples, errors = parse_triples(io.StringIO(text), malformed_tolerance=1.0)
+        expected_triples, expected_errors = _parse_line_by_line(text)
+        assert all(type(t) is RawTriple for t in triples)
+        assert triples == expected_triples
+        assert [t.phases for t in triples] == [t.phases for t in expected_triples]
+        assert errors == expected_errors
+
+    def test_each_line_is_decoded_once(self, monkeypatch):
+        loads, checked = [], []
+        real_loads, real_check = json.loads, ingest_module._triple_from_record
+        monkeypatch.setattr(ingest_module.json, "loads",
+                            lambda text: loads.append(text) or real_loads(text))
+        monkeypatch.setattr(ingest_module, "_triple_from_record",
+                            lambda *args: checked.append(args[0]) or real_check(*args))
+        triples, errors = parse_triples(io.StringIO(
+            '{"s": " a ", "p": "b", "o": "c", "doc": "d"}\n'
+            '{"doc":"d","o":"c","p":"b","s":"a"}\n'
+            '{"s": "a", "p": "b", "o": "c", "doc": "d"} \r\n'
+            '{"s": "a", "p": "b", "o": "c", "doc": "d", "phases": ["acute"]}\n'
+            '{"s": "\u00e9", "p": "b", "o": "c", "doc": "d"}\n'
+            ' {"s": "a", "p": "b", "o": "c", "doc": "d"}\n'
+            '{"s": "a", "p": \n'
+            '{"s": "a", "p": "b", "o": "c", "doc": "d"}'), malformed_tolerance=1.0)
+        plain = RawTriple("a", "b", "c", "d")
+        assert triples == [plain] * 3 + [plain._replace(phases=frozenset({Phase.ACUTE})),
+                                         plain._replace(subject="\u00e9"), plain, plain]
+        assert [e["line"] for e in errors] == [7]
+        # phases and a non-ASCII field: decoded once, then checked field by field;
+        # leading whitespace and a decode error: json.loads decodes it again
+        assert checked == [4, 5, 6]
+        assert [text[:3] for text in loads] == [' {"', '{"s']
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"s": ' + "[" * 100_000 + "]" * 100_000 + ', "p": "b", "o": "c", "doc": "d"}',
+        '{"s": "\\u00e9", "p": ' + '{"a": ' * 100_000 + "1" + "}" * 100_000 + "}",
+    ], ids=["array", "nested-field", "nested-field-escaped"])
+    def test_deep_nesting_is_a_malformed_record(self, line):
+        triples, errors = parse_triples(io.StringIO(
+            '{"s": "a", "p": "b", "o": "c", "doc": "d"}\n' + line + "\n"),
+            malformed_tolerance=1.0)
+        assert triples == [RawTriple("a", "b", "c", "d")]
+        assert [e["line"] for e in errors] == [2]
+        assert errors[0]["reason"].startswith("maximum recursion depth exceeded")
+
+    def test_deep_entity_meta_line_names_the_line(self):
+        with pytest.raises(IngestError, match="entity metadata line 2: maximum recursion"):
+            parse_entity_meta(io.StringIO(
+                '{"name": "x", "layer": "social", "severity": 0.5}\n'
+                + "[" * 100_000 + "]" * 100_000 + "\n"))

@@ -1,3 +1,4 @@
+import contextlib
 import fcntl
 import json
 import logging
@@ -432,6 +433,104 @@ class TestCrashResume:
                      "report_layers.json"):
             assert (crash_dir / name).read_bytes() == \
                 (clean_dir / name).read_bytes(), name
+
+
+OUTPUTS = [name for names in pipeline.STAGE_OUTPUTS.values() for name in names]
+
+
+def _kept_after(workdir, names, rerun) -> set[str]:
+    """The files among ``names`` that are still the same file after
+    ``rerun()``; open handles keep an old inode from being reused."""
+    with contextlib.ExitStack() as stack:
+        held = {name: stack.enter_context(open(workdir / name, "rb")) for name in names}
+        rerun()
+        return {name for name, fh in held.items()
+                if os.path.samestat(os.fstat(fh.fileno()), os.stat(workdir / name))}
+
+
+class TestUnchangedOutputs:
+    def test_theta_rerun_keeps_every_output_whose_bytes_hold(self, tmp_path):
+        workdir = tmp_path / "work"
+        run(make_config(tmp_path), workdir)
+        before = {name: (workdir / name).read_bytes() for name in OUTPUTS}
+        changed = make_config(tmp_path, scoring=ScoringConfig(theta_novelty=0.55))
+        kept = _kept_after(workdir, OUTPUTS + [pipeline.CONFIG_NAME],
+                           lambda: run(changed, workdir))
+        same = {name for name in OUTPUTS if (workdir / name).read_bytes() == before[name]}
+        assert kept == same
+        assert {"graph.rpkg", "pagerank.json", "rejections.jsonl", "parse_errors.jsonl",
+                "report_temporal.json", "report_layers.json"} <= kept
+        assert "pathways.json" not in kept
+
+    def test_rerun_of_every_stage_with_equal_bytes_replaces_nothing(self, tmp_path):
+        workdir = tmp_path / "work"
+        run(make_config(tmp_path), workdir)
+        # a new tolerance reruns ingest, and every stage after it
+        changed = make_config(tmp_path, malformed_tolerance=0.2)
+        summaries = []
+        assert _kept_after(workdir, OUTPUTS,
+                           lambda: summaries.append(run(changed, workdir))) == set(OUTPUTS)
+        assert summaries[0].executed == list(pipeline.STAGE_ORDER)
+        assert not list(workdir.glob("*.tmp"))
+
+    @pytest.mark.parametrize("old", [b"old\n", b"new\n!", b"new", b""],
+                             ids=["other", "longer", "shorter", "empty"])
+    def test_other_bytes_are_renamed_into_place(self, tmp_path, old):
+        path = tmp_path / "out.json"
+        path.write_bytes(old)
+        with open(path, "rb") as held:
+            pipeline._atomic_write_text(path, "new\n")
+            assert not os.path.samestat(os.fstat(held.fileno()), os.stat(path))
+            assert held.read() == old  # replaced by a rename, never written in place
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_changed_graph_is_renamed_into_place(self, tmp_path):
+        config = make_config(tmp_path)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        with open(config.triples, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"s": "phy-0000", "p": "feeds", "o": "soc-0000",
+                                 "doc": "extra"}) + "\n")
+        size = (workdir / "graph.rpkg").stat().st_size
+        kept = _kept_after(workdir, ["graph.rpkg", "parse_errors.jsonl"],
+                           lambda: run(config, workdir))
+        assert kept == {"parse_errors.jsonl"}
+        assert (workdir / "graph.rpkg").stat().st_size != size
+        assert load_snapshot(workdir / "graph.rpkg").doc_count == 61
+        assert not list(workdir.glob("*.tmp"))
+
+    @pytest.mark.parametrize("other, same", [
+        (b"a" * (3 << 20), True),
+        (b"a" * (3 << 20) + b"b", False),
+        (b"a" * (3 << 20 - 1), False),
+        (b"a" * (2 << 20) + b"b" + b"a" * ((1 << 20) - 1), False),
+        (None, False),
+    ], ids=["equal", "longer", "shorter", "same-size-third-chunk", "missing"])
+    def test_same_bytes_compares_files_by_chunk(self, tmp_path, other, same):
+        path, tmp = tmp_path / "graph.rpkg", tmp_path / "graph.rpkg.tmp"
+        tmp.write_bytes(b"a" * (3 << 20))
+        if other is not None:
+            path.write_bytes(other)
+        assert pipeline._same_bytes(path, tmp) is same
+
+    @pytest.mark.parametrize("crash_at", ["before_record:ingest", "before_record:discover",
+                                          "before_record:report"])
+    def test_crash_in_a_rerun_resumes_byte_identical(self, tmp_path, crash_at):
+        paths = {}
+        for name, theta in (("first", 0.5), ("second", 0.55)):
+            config = make_config(tmp_path, scoring=ScoringConfig(theta_novelty=theta),
+                                 malformed_tolerance=theta / 5)
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(config.to_dict()))
+        clean, crash = tmp_path / "clean", tmp_path / "crash"
+        assert run_pipeline_subprocess(paths["second"], clean).returncode == 0
+        assert run_pipeline_subprocess(paths["first"], crash).returncode == 0
+        proc = run_pipeline_subprocess(paths["second"], crash, crash_at=crash_at)
+        assert proc.returncode == 70
+        resume(crash)
+        for name in OUTPUTS:
+            assert (crash / name).read_bytes() == (clean / name).read_bytes(), name
 
 
 class TestLock:
