@@ -28,9 +28,11 @@ with the collector running that starts a collection every few hundred of
 them. Each one rescans the records decoded so far and frees nothing: these
 objects form no reference cycles, so reference counting frees them. Ingest
 and discovery are the other two allocation bursts run under the same pause.
-A loaded record is one tuple object beside its frozensets (relations share
-the eight possible phase sets), so the collection that the pause leaves to
-the caller has few objects per record to scan.
+A loaded record is one tuple object beside its frozensets, and records
+share equal sets: relations share the eight possible phase sets, and a load
+builds one frozenset per distinct saved alias list and doc-id list. So the
+collection that the pause leaves to the caller has few objects per record
+to scan.
 """
 
 from __future__ import annotations
@@ -382,6 +384,14 @@ def _columns(rows: list, types: tuple) -> tuple | None:
     return None
 
 
+def _shared_sets(lists: Iterable[list]) -> Iterator[frozenset]:
+    """One frozenset per list, built once per distinct list: records whose
+    saved lists are equal share one set object, as they share phase sets."""
+    keys = list(map(tuple, lists))
+    sets = {key: frozenset(key) for key in set(keys)}
+    return map(sets.__getitem__, keys)
+
+
 def _entities_in_bulk(rows: list) -> list[Entity] | None:
     """The entities of ``rows``, checked section-wide with the Entity
     constructor's checks and built without it; None if any row fails."""
@@ -394,7 +404,7 @@ def _entities_in_bulk(rows: list) -> list[Entity] | None:
             and _all_str(chain.from_iterable(aliases))):
         return None
     return list(map(tuple.__new__, repeat(Entity), zip(
-        ids, names, map(_LAYERS.__getitem__, layers), severities, map(frozenset, aliases))))
+        ids, names, map(_LAYERS.__getitem__, layers), severities, _shared_sets(aliases))))
 
 
 def _relations_in_bulk(rows: list) -> list[Relation] | None:
@@ -412,7 +422,7 @@ def _relations_in_bulk(rows: list) -> list[Relation] | None:
     if not _PHASE_SETS.keys() >= set(phases):
         return None
     return list(map(tuple.__new__, repeat(Relation), zip(
-        ids, sources, predicates, targets, map(frozenset, docs),
+        ids, sources, predicates, targets, _shared_sets(docs),
         map(_PHASE_SETS.__getitem__, phases))))
 
 

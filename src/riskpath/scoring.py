@@ -15,7 +15,10 @@ iteration on a sparse column-stochastic matrix with uniform teleport and
 uniform redistribution of dangling-node mass. The sparse matrix is three numpy
 arrays (target row, source column, weight), one entry per linked pair, sorted
 by row and then column; each iteration forms the product with ``np.bincount``
-over the rows, which adds each row's terms in that order.
+over the rows, which adds each row's terms in that order. numpy is imported
+inside :func:`pagerank` alone, so a process that only reads stored scores
+(``discover`` with a reusable ``pagerank.json``, ``stats``, ``report``,
+``export``) never pays its start-up time or memory.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import logging
 import sys
 from dataclasses import dataclass, asdict, fields, replace
 from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
 
 from .errors import ConfigError, ScoringError
 from .graph import KnowledgeGraph
@@ -229,6 +230,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     ``pr_max_iters`` iterations (``converged`` reports which, and a warning
     is logged when it is False).
     """
+    import numpy as np
+
     n = len(graph.entities)
     if n == 0:
         raise ScoringError("pagerank requires a non-empty graph")

@@ -5,6 +5,7 @@ timing lines; plain ``pytest`` reports pass/fail per criterion through the
 test names.
 """
 
+import hashlib
 import json
 import random
 import resource
@@ -34,8 +35,11 @@ from riskpath import (
     generate,
     impact_potential,
     literature_frequency,
+    load_snapshot,
     novelty_score,
     pagerank,
+    pathway_frequency,
+    save_snapshot,
     temporal_distribution,
 )
 from riskpath.errors import ConfigError
@@ -294,7 +298,10 @@ def test_criterion_8_crash_resume_equivalence(tmp_path):
             f"{len(kill_points)} kill points, final discovery JSON byte-identical")
 
 
-def test_criterion_9_scale_sanity():
+@pytest.fixture(scope="module")
+def criterion_9_graph():
+    """The 100k-relation criterion-9 graph and the seconds it took to build,
+    built once for the tests that share it."""
     started = time.monotonic()
     rng = random.Random(2024)
     entities = []
@@ -316,6 +323,13 @@ def test_criterion_9_scale_sanity():
         relations.append(Relation(f"r{len(relations):06d}", s, "links", t,
                                   frozenset({rng.choice(doc_pool)})))
     graph = build_graph(entities, relations)
+    return graph, time.monotonic() - started
+
+
+def test_criterion_9_scale_sanity(criterion_9_graph):
+    graph, build_s = criterion_9_graph
+    # the 300 s budget covers the graph build too
+    started = time.monotonic() - build_s
     assert len(graph.relations) == 100_000
     stats = CorpusStats.from_graph(graph)
     config = ScoringConfig(d_max=3, fmax_mode="edge-max")
@@ -331,3 +345,47 @@ def test_criterion_9_scale_sanity():
     _report("criterion 9 (scale sanity)", started, 300.0,
             f"100k relations, d_max=3: discovery {elapsed_discover:.1f}s, "
             f"peak RSS {peak_gb:.2f} GB")
+
+
+# sha256 of the criterion-9 paper-default result (json.dumps with indent=2
+# and sorted keys, as pathways.json holds it) without the diagnostic
+# candidates_enumerated counter
+CRITERION_9_DEFAULTS_SHA256 = "01242b352a15bdf71375222662f1b787c2740d3e90b067a4208204480d005fa1"
+
+
+def test_criterion_9_paper_defaults_from_snapshot(criterion_9_graph, tmp_path):
+    """The headline workload: the criterion-9 graph through a snapshot round
+    trip, then discovery at the paper defaults. Every row is recomputed with
+    the public scoring functions, and the whole result is pinned."""
+    started = time.monotonic()
+    built, _ = criterion_9_graph
+    save_snapshot(built, tmp_path / "graph.rpkg")
+    graph = load_snapshot(tmp_path / "graph.rpkg")
+    assert graph == built
+    stats = CorpusStats.from_graph(graph)
+    centrality = pagerank(graph, DEFAULTS)
+    result = discover(graph, stats, centrality, DEFAULTS)
+
+    assert 0 < len(result.pathways) <= DEFAULTS.top_k
+    keys = []
+    for pathway, breakdown in result.pathways:
+        pathway.validate(graph, DEFAULTS.d_max)
+        assert graph.entity(pathway.entity_ids[0]).layer is Layer.PHYSICAL
+        assert cross_layer_count(pathway, graph) >= 2
+        f = pathway_frequency(pathway, stats, DEFAULTS.freq_mode)
+        assert f <= result.f_max_used
+        want = novelty_score(f, literature_frequency(f, result.f_max_used),
+                             cross_layer_connectivity(pathway, graph),
+                             impact_potential(pathway, centrality, graph), DEFAULTS)
+        assert breakdown == want
+        assert want.total > DEFAULTS.theta_novelty
+        keys.append((-want.total, len(pathway.entity_ids), pathway.entity_ids,
+                     pathway.relation_ids))
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    payload = result.to_json_dict(graph)
+    del payload["metadata"]["candidates_enumerated"]
+    digest = hashlib.sha256(json.dumps(payload, indent=2, sort_keys=True).encode())
+    assert digest.hexdigest() == CRITERION_9_DEFAULTS_SHA256
+    _report("criterion 9 (paper defaults from a snapshot)", started, 120.0,
+            f"{len(result.pathways)} pathways, f_max {result.f_max_used}")

@@ -745,11 +745,54 @@ class TestUsageErrors:
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_import_loads_no_scipy(self):
-        # numpy is the package's one array library
+    def test_import_loads_neither_scipy_nor_numpy(self):
+        # numpy is imported by pagerank alone, and scipy by nothing
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, riskpath.cli; print(sorted(m for m in "
-             "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+             "sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"],
             env=subprocess_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# Runs CLI commands in one process and prints, per command, its exit code,
+# whether numpy was loaded after it, and its stdout.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from riskpath.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    print(json.dumps([argv[:2], code, "numpy" in sys.modules, out.getvalue()]))
+"""
+
+
+def test_only_pagerank_loads_numpy(tmp_path, corpus_dir):
+    config = {"triples": str(corpus_dir / "triples.jsonl"),
+              "entities": str(corpus_dir / "entities.jsonl")}
+    wd = tmp_path / "wd"
+    run(PipelineConfig.from_dict(config), wd)
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps({**config, "scoring": {"theta_novelty": 0.5}}))
+    no_numpy = [
+        ["syngen", "--docs", "20", "--out", str(tmp_path / "corpus2")],
+        ["ingest", "--triples", str(corpus_dir / "triples.jsonl"),
+         "--entities", str(corpus_dir / "entities.jsonl"), "--out", str(tmp_path / "wd2")],
+        ["stats", str(wd)],
+        ["report", "temporal", str(wd)],
+        ["report", "layers", str(wd)],
+        ["export", str(wd), "--pathways", str(wd / "pathways.json")],
+        ["discover", str(wd), "--out", str(tmp_path / "pathways.json")],
+        ["pipeline", "run", "--config", str(rerun), "--workdir", str(wd),
+         "--format", "json"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE,
+         json.dumps(no_numpy + [["pagerank", str(wd)]])],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(command, code, loaded) for command, code, loaded, _ in steps] == [
+        (argv[:2], 0, False) for argv in no_numpy] + [(["pagerank", str(wd)], 0, True)]
+    # the rerun reused the stored graph and scores
+    assert json.loads(steps[-2][3])["executed"] == ["discover", "report"]

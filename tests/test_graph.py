@@ -434,6 +434,41 @@ class TestSnapshotV2:
             payload, separators=(",", ":")).encode("ascii")
         assert load_snapshot(path) == graph
 
+    def test_load_shares_equal_sets(self, tmp_path):
+        def ent(eid, *aliases):
+            return Entity(eid, eid, Layer.SOCIAL, 0.5, frozenset(aliases))
+
+        # equal sets repeat, and unequal ones share their first item
+        graph = build_graph(
+            [ent("a", "x", "y"), ent("b", "x", "y"), ent("c"), ent("d"), ent("e", "x", "z")],
+            [rel("r1", "a", "b", docs=("d1", "d2"), phases=(Phase.ACUTE,)),
+             rel("r2", "b", "c", docs=("d2", "d1"), phases=(Phase.ACUTE,)),
+             rel("r3", "c", "d", docs=("d1", "d3")),
+             rel("r4", "d", "e", docs=("d2",)),
+             rel("r5", "e", "a", docs=("d2",), phases=(Phase.CHRONIC,))])
+        path = tmp_path / "g.rpkg"
+        save_snapshot(graph, path)
+        loaded = load_snapshot(path)
+        assert loaded == graph
+        e, r = loaded.entities, loaded.relations
+        assert e["a"].aliases is e["b"].aliases
+        assert e["c"].aliases is e["d"].aliases == frozenset()
+        assert r["r1"].doc_ids is r["r2"].doc_ids
+        assert r["r4"].doc_ids is r["r5"].doc_ids
+        assert r["r1"].phases is r["r2"].phases
+        assert r["r3"].phases is r["r4"].phases == frozenset()
+
+        # every distinct set is one object, on a graph where most sets repeat
+        graph, _ = random_graph(random.Random(5), 300, 900, n_docs=4,
+                                max_docs_per_edge=2, phase_prob=0.5)
+        save_snapshot(graph, path)
+        loaded = load_snapshot(path)
+        assert loaded == graph
+        for sets in ([x.aliases for x in loaded.entities.values()],
+                     [x.doc_ids for x in loaded.relations.values()],
+                     [x.phases for x in loaded.relations.values()]):
+            assert len(set(map(id, sets))) == len(set(sets)) < len(sets)
+
     def test_bytes_equal_one_json_dumps_across_write_chunks(self, tmp_path):
         graph, _ = random_graph(random.Random(8), 1100, 2100, phase_prob=0.3)
         path = tmp_path / "g.rpkg"
