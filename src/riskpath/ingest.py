@@ -49,6 +49,22 @@ _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 _triple_values = itemgetter(*_TRIPLE_FIELDS)
 
 
+class _SharedStrings(dict):
+    """``shared[text]`` is ``text.strip()``, as the first equal string
+    looked up: one lookup at C speed strips a field and shares it, so a
+    parse keeps one object per distinct value. A key that is not a string
+    raises TypeError."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: str) -> str:
+        if type(key) is not str:
+            raise TypeError("not a string")
+        stripped = key.strip()
+        value = self[key] = self.setdefault(stripped, stripped)
+        return value
+
+
 @dataclass(frozen=True)
 class EntityMeta:
     """Canonical entity name with its layer, severity, and known aliases."""
@@ -116,12 +132,14 @@ def _check_triple_fields(values: tuple, check_encoding: bool) -> None:
             value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
 
 
-def _triple_from_json(line_no: int, text: str) -> RawTriple:
-    return _triple_from_record(line_no, text, json.loads(text))
+def _triple_from_json(line_no: int, text: str, share=str) -> RawTriple:
+    # str(value) is value: by default the stripped fields are not shared
+    return _triple_from_record(line_no, text, json.loads(text), share)
 
 
-def _triple_from_record(line_no: int, text: str, record) -> RawTriple:
-    """The triple of ``record``, the JSON value decoded from line ``text``."""
+def _triple_from_record(line_no: int, text: str, record, share) -> RawTriple:
+    """The triple of ``record``, the JSON value decoded from line ``text``,
+    its stripped fields passed through ``share``."""
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
     try:
@@ -141,13 +159,13 @@ def _triple_from_record(line_no: int, text: str, record) -> RawTriple:
         _check_triple_fields(values, may_hold_surrogate)
     phases = record.get("phases")
     if phases is None:
-        return RawTriple(*fields)
+        return RawTriple(*map(share, fields))
     if not isinstance(phases, list):
         raise ValueError("field 'phases' must be an array")
-    return RawTriple(*fields, _parse_phases(phases, line_no))
+    return RawTriple(*map(share, fields), _parse_phases(phases, line_no))
 
 
-def _triple_from_tsv(line_no: int, text: str) -> RawTriple:
+def _triple_from_tsv(line_no: int, text: str, share) -> RawTriple:
     cols = text.split("\t")
     if len(cols) not in (4, 5):
         raise ValueError(f"expected 4 or 5 tab-separated columns, got {len(cols)}")
@@ -158,7 +176,7 @@ def _triple_from_tsv(line_no: int, text: str) -> RawTriple:
     phases = _NO_PHASES
     if len(cols) == 5 and cols[4].strip():
         phases = _parse_phases([p for p in cols[4].split(",") if p.strip()], line_no)
-    return tuple.__new__(RawTriple, (*stripped, phases))
+    return tuple.__new__(RawTriple, (*map(share, stripped), phases))
 
 
 def check_malformed_tolerance(tolerance: float) -> None:
@@ -186,12 +204,16 @@ def parse_triples(stream: TextIO, format: str = "jsonl",
     defect) goes through ``_triple_from_json``, whose ``json.loads`` words
     the decode error; these two alone produce error reasons. A record nested
     too deeply to decode is a malformed record.
+
+    Equal strings are shared: the triples of one call hold one ``str``
+    object per distinct value, whichever path built them.
     """
     if format not in TRIPLES_FORMATS:
         raise ConfigError(f"unknown triples format {format!r}")
     check_malformed_tolerance(malformed_tolerance)
     jsonl = format == "jsonl"
     parse_one = _triple_from_json if jsonl else _triple_from_tsv
+    share = _SharedStrings().__getitem__
 
     triples: list[RawTriple] = []
     errors: list[dict] = []
@@ -204,16 +226,17 @@ def parse_triples(stream: TextIO, format: str = "jsonl",
                     end = None  # parse_one decodes it again to word the error
                 if end is not None and not line[end:].strip(_JSON_SPACE):
                     try:
-                        s, p, o, doc = map(str.strip, _triple_values(record))
+                        s, p, o, doc = map(share, _triple_values(record))
                         plain = (len(record) == 4 and s and p and o and doc
                                  and line.isascii() and "\\u" not in line)
                     except (KeyError, TypeError):  # not four string fields
                         plain = False
                     triples.append(tuple.__new__(RawTriple, (s, p, o, doc, _NO_PHASES))
-                                   if plain else _triple_from_record(line_no, line, record))
+                                   if plain else
+                                   _triple_from_record(line_no, line, record, share))
                     continue
             if line.strip():
-                triples.append(parse_one(line_no, line))
+                triples.append(parse_one(line_no, line, share))
         except (ValueError, RecursionError) as exc:
             errors.append({"line": line_no, "reason": str(exc)})
 
@@ -262,7 +285,10 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
 
     Names with no alias-map entry pass through normalized and are reported
     back as unregistered (sorted, deduplicated). Idempotent by construction:
-    canonical names map to themselves.
+    canonical names map to themselves. A ``RawTriple`` that canonicalizing
+    leaves unchanged (its subject and object resolve to equal strings and
+    its predicate has no surrounding whitespace) is returned as it is; any
+    other record becomes a new ``RawTriple``.
     """
     alias_map = build_alias_map(meta, extra_aliases)
     unregistered: set[str] = set()
@@ -277,11 +303,19 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
         resolved[name] = canonical
         return canonical
 
-    result = [
-        tuple.__new__(RawTriple, (resolved.get(s) or resolve(s), p.strip(),
-                                  resolved.get(o) or resolve(o), doc_id, phases))
-        for s, p, o, doc_id, phases in triples
-    ]
+    result: list[RawTriple] = []
+    append = result.append
+    for triple in triples:
+        s, p, o, doc_id, phases = triple
+        canonical_s = resolved.get(s) or resolve(s)
+        canonical_o = resolved.get(o) or resolve(o)
+        stripped = p.strip()
+        if (stripped is p and canonical_s == s and canonical_o == o
+                and type(triple) is RawTriple):
+            append(triple)
+        else:
+            append(tuple.__new__(RawTriple, (canonical_s, stripped, canonical_o,
+                                             doc_id, phases)))
     return result, sorted(unregistered)
 
 

@@ -24,6 +24,14 @@ in place instead, under the lock: a torn manifest either does not decode,
 and the run starts fresh, or each of its records is checked against the
 stage's input fingerprint and output hashes before any output is reused.
 
+A run holds one graph in memory: the one ingest built, keyed by the sha256
+of the snapshot bytes it wrote, or else the first one a stage loaded, keyed
+by the sha256 that stage's input fingerprint read for ``graph.rpkg``. A
+later stage uses it only when its own input fingerprint hashes
+``graph.rpkg`` to that key, and loads the file otherwise. So a fresh run
+never loads ``graph.rpkg``, a resume or a rerun loads it at most once, and
+a changed snapshot is never reused.
+
 Transient failures (I/O) are retried with exponential backoff up to a retry
 limit; validation/config failures fail fast.
 
@@ -47,6 +55,7 @@ import json
 import logging
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -54,8 +63,8 @@ from .analysis import TEMPORAL_BY, layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
 from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
                      TransientStageError)
-from .graph import (SNAPSHOT_VERSION, build_graph, collector_paused, load_snapshot,
-                    save_snapshot)
+from .graph import (SNAPSHOT_VERSION, KnowledgeGraph, build_graph, collector_paused,
+                    load_snapshot, save_snapshot)
 from .ingest import (
     DEFAULT_MALFORMED_TOLERANCE,
     TRIPLES_FORMATS,
@@ -280,7 +289,10 @@ def _atomic_write_jsonl(path: Path, rows: list[dict]) -> None:
                                      for row in rows))
 
 
-def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -> str:
+def _stage_inputs(stage: str, config: PipelineConfig,
+                  workdir: Path) -> tuple[str, dict[str, str]]:
+    """The stage's input fingerprint, and the content hash of each input file
+    it covers by name."""
     scoring = config.scoring
     if stage == "ingest":
         # the snapshot version makes a graph.rpkg of another format rerun ingest
@@ -313,7 +325,52 @@ def stage_input_fingerprint(stage: str, config: PipelineConfig, workdir: Path) -
         })
     else:
         raise PipelineError(f"unknown stage {stage!r}")
-    return _fingerprint(stage, part, files)
+    return _fingerprint(stage, part, files), files
+
+
+# --- the graph a run holds --------------------------------------------------
+
+@dataclass
+class _RunGraph:
+    """The one graph a pipeline run holds between its stages.
+
+    ``key`` is the sha256 of the ``graph.rpkg`` bytes that ``graph`` was
+    written as or loaded from. ``stage_key`` is the sha256 that the running
+    stage's input fingerprint read for ``graph.rpkg``, None for a stage
+    that reads no graph.
+    """
+
+    key: str | None = None
+    graph: KnowledgeGraph | None = None
+    stage_key: str | None = None
+
+
+# set by ``run`` for its duration, so that stage bodies keep their
+# (config, workdir) signature
+_run_graph: ContextVar[_RunGraph | None] = ContextVar("_run_graph", default=None)
+
+
+@contextlib.contextmanager
+def _holding_graph():
+    held = _RunGraph()
+    token = _run_graph.set(held)
+    try:
+        yield held
+    finally:
+        _run_graph.reset(token)
+
+
+def _read_graph(workdir: Path) -> KnowledgeGraph:
+    """The graph in ``workdir/graph.rpkg``. Inside ``run``, a stage whose
+    input fingerprint hashed the file to the held graph's key gets that
+    graph; otherwise the file is loaded, and the run holds it under the
+    hash the fingerprint read."""
+    held = _run_graph.get()
+    if held is None or held.stage_key is None:
+        return load_snapshot(workdir / "graph.rpkg")
+    if held.key != held.stage_key:
+        held.graph, held.key = load_snapshot(workdir / "graph.rpkg"), held.stage_key
+    return held.graph
 
 
 # --- stage bodies -------------------------------------------------------------
@@ -339,7 +396,9 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
     Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
     every file is written atomically, and one that already holds the new
-    bytes is left in place. Returns counts for a summary line.
+    bytes is left in place. Returns counts for a summary line. Inside
+    ``run``, the run holds the graph built here under the sha256 of the
+    snapshot bytes written, so later stages need not load it.
     The cyclic garbage collector is paused for the call
     (``graph.collector_paused``).
     """
@@ -361,6 +420,9 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
         tmp = workdir / "graph.rpkg.tmp"
         save_snapshot(graph, tmp)
+        held = _run_graph.get()
+        if held is not None:
+            held.graph, held.key = graph, _sha256_file(tmp)
         _replace_unless_same(tmp, workdir / "graph.rpkg")
         _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
         _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
@@ -370,13 +432,13 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
 
 def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
-    graph = load_snapshot(workdir / "graph.rpkg")
+    graph = _read_graph(workdir)
     centrality = pagerank(graph, config.scoring)
     _atomic_write_json(workdir / "pagerank.json", centrality.to_dict())
 
 
 def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
-    graph = load_snapshot(workdir / "graph.rpkg")
+    graph = _read_graph(workdir)
     centrality = CentralityScores.from_dict(
         read_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
@@ -385,7 +447,7 @@ def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
 
 
 def _stage_report(config: PipelineConfig, workdir: Path) -> None:
-    graph = load_snapshot(workdir / "graph.rpkg")
+    graph = _read_graph(workdir)
     pathways = read_json_object(workdir / "pathways.json", "pathways file")
     _atomic_write_json(workdir / "report_temporal.json",
                        temporal_distribution(graph, by=config.temporal_by).to_dict())
@@ -516,7 +578,7 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
     """Execute all stages in dependency order, skipping up-to-date ones."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    with _pipeline_lock(workdir):
+    with _pipeline_lock(workdir), _holding_graph() as held:
         _atomic_write_json(workdir / CONFIG_NAME, config.to_dict())
         records = _load_manifest(workdir)
         executed: list[str] = []
@@ -524,7 +586,7 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
         upstream_ran = False
 
         for stage in STAGE_ORDER:
-            fingerprint = stage_input_fingerprint(stage, config, workdir)
+            fingerprint, input_hashes = _stage_inputs(stage, config, workdir)
             record = records.get(stage)
             if (not upstream_ran and record is not None and record.status == "done"
                     and record.input_fingerprint == fingerprint
@@ -541,6 +603,7 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
 
             record = StageRecord(stage_name=stage, input_fingerprint=fingerprint)
             records[stage] = record
+            held.stage_key = input_hashes.get("graph")
             attempt = 0
             while True:
                 attempt += 1

@@ -190,6 +190,41 @@ class TestParseErrorReasons:
         ]
 
 
+def _share_counts(triples) -> tuple[int, int]:
+    """(str objects, distinct str values) across the four string fields."""
+    fields = [value for triple in triples for value in triple[:4]]
+    return len(set(map(id, fields))), len(set(fields))
+
+
+class TestSharedStrings:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return generate(GenSpec(n_docs=5000, seed=7, planted_chains=(
+            PlantedChain.parse("P,S,E,S,E:1"),))).triples
+
+    @pytest.mark.parametrize("path", ["jsonl-plain", "jsonl-record", "tsv"])
+    def test_one_object_per_distinct_value(self, rows, path):
+        if path == "tsv":
+            text = "".join("\t".join((r["s"], r["p"], r["o"], r["doc"])) + "\n"
+                           for r in rows)
+        else:  # a phases key sends every line through _triple_from_record
+            extra = {"phases": ["acute"]} if path == "jsonl-record" else {}
+            text = "".join(json.dumps({**r, **extra}, sort_keys=True) + "\n" for r in rows)
+        triples, errors = parse_triples(io.StringIO(text), "tsv" if path == "tsv" else "jsonl")
+        assert errors == [] and len(triples) == 57_344
+        assert _share_counts(triples) == (5_451, 5_451)
+
+    def test_paths_share_one_object(self):
+        # longer than one character: CPython keeps one object per 1-char string
+        triples, errors = parse_triples(jsonl(
+            {"s": " heat ", "p": "drives", "o": "demand", "doc": "d01"},
+            {"s": "heat", "p": "drives", "o": "demand", "doc": "d01", "phases": ["acute"]},
+            ' {"s": "heat", "p": "drives", "o": "demand", "doc": "d01"}',
+            {"s": "\u00e9t\u00e9", "p": "drives", "o": "heat", "doc": "d01"}))
+        assert errors == []
+        assert _share_counts(triples) == (5, 5)
+
+
 class TestCanonicalize:
     def test_alias_lookup(self):
         triples = [RawTriple("Heat Wave", "increases", "water demand", "d1")]
@@ -246,6 +281,32 @@ class TestCanonicalize:
         result, unregistered = canonicalize(triples, META, {"HW": "heatwave"})
         assert result[0].subject == "heatwave"
         assert unregistered == []
+
+    def test_unchanged_record_is_returned_as_is(self):
+        triples = [RawTriple("heatwave", "increases", "water demand", "d1"),
+                   RawTriple("unknown thing", "p", "crop failure", "d2",
+                             frozenset({Phase.ACUTE}))]
+        result, _ = canonicalize(triples, META)
+        assert all(out is raw for out, raw in zip(result, triples))
+
+    @pytest.mark.parametrize("raw, want", [
+        (("Heat Wave", "increases", "water demand", "d1"),
+         ("heatwave", "increases", "water demand", "d1")),
+        (("heatwave", "increases", "harvest loss", "d1"),
+         ("heatwave", "increases", "crop failure", "d1")),
+        (("heatwave", " increases ", "water demand", "d1"),
+         ("heatwave", "increases", "water demand", "d1")),
+    ], ids=["subject-alias", "object-alias", "predicate-strip"])
+    def test_changed_record_is_a_new_raw_triple(self, raw, want):
+        triple = RawTriple(*raw)
+        [result], _ = canonicalize([triple], META)
+        assert result is not triple and type(result) is RawTriple
+        assert result == (*want, frozenset())
+
+    def test_plain_tuple_becomes_a_raw_triple(self):
+        row = ("heatwave", "increases", "water demand", "d1", frozenset())
+        [result], _ = canonicalize([row], META)
+        assert type(result) is RawTriple and result == row
 
 
 class TestAggregate:

@@ -3,6 +3,7 @@ import fcntl
 import json
 import logging
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -20,9 +21,11 @@ from riskpath import (
     PlantedChain,
     ScoringConfig,
     TransientStageError,
+    build_graph,
     discover,
     generate,
     load_snapshot,
+    save_snapshot,
 )
 import riskpath.graph as graph_module
 import riskpath.pipeline as pipeline
@@ -531,6 +534,75 @@ class TestUnchangedOutputs:
         resume(crash)
         for name in OUTPUTS:
             assert (crash / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+class TestOneGraphPerRun:
+    @pytest.fixture
+    def loads(self, monkeypatch) -> list[str]:
+        """The file names riskpath.pipeline.load_snapshot is called with."""
+        calls = []
+        real = pipeline.load_snapshot
+        monkeypatch.setattr(pipeline, "load_snapshot",
+                            lambda path: calls.append(Path(path).name) or real(path))
+        return calls
+
+    def test_fresh_run_loads_no_snapshot(self, tmp_path, loads):
+        summary = run(make_config(tmp_path), tmp_path / "work")
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        assert loads == []
+
+    def test_theta_rerun_loads_the_snapshot_once(self, tmp_path, loads):
+        workdir = tmp_path / "work"
+        run(make_config(tmp_path), workdir)
+        changed = make_config(tmp_path, scoring=ScoringConfig(theta_novelty=0.55))
+        assert run(changed, workdir).executed == ["discover", "report"]
+        assert loads == ["graph.rpkg"]
+
+    def test_resume_after_ingest_loads_the_snapshot_once(self, tmp_path, loads):
+        config = make_config(tmp_path)
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        clean, crash = tmp_path / "clean", tmp_path / "crash"
+        run(config, clean)
+        proc = run_pipeline_subprocess(config_path, crash, crash_at="after_record:ingest")
+        assert proc.returncode == 70
+        assert resume(crash).executed == ["pagerank", "discover", "report"]
+        assert loads == ["graph.rpkg"]
+        for name in OUTPUTS:
+            assert (crash / name).read_bytes() == (clean / name).read_bytes(), name
+
+    @pytest.mark.parametrize("after", ["ingest", "pagerank", "discover"])
+    def test_snapshot_replaced_between_stages_is_loaded(self, tmp_path, monkeypatch,
+                                                         loads, after):
+        config = make_config(tmp_path)
+        clean = tmp_path / "clean"
+        run(config, clean)
+        graph = load_snapshot(clean / "graph.rpkg")
+        kept = [r for i, r in enumerate(graph.relations.values()) if i % 3]
+        ends = {end for r in kept for end in (r.source, r.target)}
+        other = build_graph([e for e in graph.entities.values() if e.id in ends], kept,
+                            doc_count=graph.doc_count)
+        real = pipeline.STAGES[after]
+
+        def then_replace(cfg, wd):
+            real(cfg, wd)
+            save_snapshot(other, wd / "graph.rpkg")
+
+        monkeypatch.setitem(pipeline.STAGES, after, then_replace)
+        workdir = tmp_path / "work"
+        run(config, workdir)
+        assert loads == ["graph.rpkg"]
+        # the later stages, run outside a pipeline run on a copy, load the file
+        expected = tmp_path / "expected"
+        shutil.copytree(workdir, expected)
+        later = pipeline.STAGE_ORDER[pipeline.STAGE_ORDER.index(after) + 1:]
+        for stage in later:
+            pipeline.STAGES[stage](config, expected)
+        names = [name for stage in later for name in pipeline.STAGE_OUTPUTS[stage]]
+        assert {name: (workdir / name).read_bytes() for name in names} == \
+            {name: (expected / name).read_bytes() for name in names}
+        assert any((workdir / name).read_bytes() != (clean / name).read_bytes()
+                   for name in names)
 
 
 class TestLock:
