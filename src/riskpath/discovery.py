@@ -23,6 +23,14 @@ Neither cut changes the returned pathways, and neither does the order of
 the walk. ``candidates_enumerated``, a diagnostic counter, counts every
 candidate except those under the θ rule, whatever ``top_k`` and the order
 of the sources; ``candidates_scored`` counts the ones that were scored.
+
+Counting a cut subtree costs less than walking it. Its last hop is counted
+from its end entity's targets. When the θ rule is off and the walk is
+directed, a cut subtree with two hops left is counted from per-entity
+tables (``_two_hop_tables``) unless a pathway entity lies within two hops
+of its end; such a conflict falls back to the walk. Under the θ rule each
+inner frame must still be tested against θ, and undirected the pathway's
+last entity is always one hop from its end, so no tables are built there.
 """
 
 from __future__ import annotations
@@ -222,7 +230,8 @@ class _GraphIndex:
     target's. ``entity_docs`` (the entity doc index) and each ``start_docs``
     entry are None in ``docs`` mode. ``targets`` and ``cross_targets`` list
     each entity's adjacency targets, all of them and those on another layer,
-    to count a pathway's last hop.
+    to count a pathway's last hop; ``_two_hop_tables`` derives from them
+    the counts of a cut subtree's last two hops.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -286,8 +295,49 @@ def _pathway_f_max(index: _GraphIndex, d_max: int) -> int:
     return best
 
 
+def _two_hop_tables(index: _GraphIndex) -> tuple[list, tuple[list, list, list]]:
+    """Per-entity tables that count a count-only subtree's last two hops.
+
+    Returns ``(near, counts)``. ``near[v]`` is a tuple of the entities one
+    or two adjacency hops from ``v``, each once. ``counts[c][v]``, for ``c``
+    of 0, 1 and 2 (2 or more) layer transitions on a pathway ending at
+    ``v``, is the number of candidates among its one- and two-hop
+    extensions, provided that no other pathway entity is in ``near[v]``.
+    Each adjacency entry counts, so parallel relations count apart; a hop
+    onto the entity it leaves (a self-loop) or back to ``v`` is no
+    extension.
+    """
+    layer, targets, cross_targets = index.layer, index.targets, index.cross_targets
+    onward = [len(hops) - hops.count(u) for u, hops in enumerate(targets)]
+    near = []
+    counts = ([], [], [])
+    for v, firsts in enumerate(targets):
+        reach = set(firsts)
+        c0 = c1 = c2 = 0
+        for u in firsts:
+            if u == v:
+                continue
+            reach.update(targets[u])
+            # u is a candidate once the pathway has crossed layers twice; its
+            # last hops are then all of its targets, after one crossing only
+            # those on another layer, and none before
+            back = targets[u].count(v)
+            if layer[u] != layer[v]:
+                c0 += len(cross_targets[u]) - back
+                c1 += 1 + onward[u] - back
+            else:
+                c1 += len(cross_targets[u])
+            c2 += 1 + onward[u] - back
+        near.append(tuple(reach))
+        counts[0].append(c0)
+        counts[1].append(c1)
+        counts[2].append(c2)
+    return near, counts
+
+
 def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
-                    prune: bool, max_impact: float) -> tuple[list, int, int]:
+                    prune: bool, max_impact: float,
+                    undirected: bool) -> tuple[list, int, int]:
     """Enumerate the candidates from every source and keep the best records.
 
     Returns (the ``top_k`` best records, candidates enumerated, candidates
@@ -301,7 +351,12 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
     A count-only subtree whose extensions are all last hops is not pushed:
     its candidates are counted from the last entity's ``targets`` (its
     ``cross_targets`` when the pathway has crossed layers once), less the
-    targets already on the pathway.
+    targets already on the pathway. Without ``prune``, on a directed walk
+    with ``d_max`` at least 3, a count-only subtree with two hops left is
+    not pushed either when no other pathway entity is in ``near`` of its
+    end: it adds that end's entry of ``_two_hop_tables``. A conflict pushes
+    it as before; with ``prune``, undirected or below ``d_max`` 3 the tables
+    are not built.
 
     The bar is the ``top_k``-th best total among the records kept so far,
     −∞ until there are ``top_k`` of them. Every record is a real candidate,
@@ -318,6 +373,11 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
     targets, cross_targets = index.targets, index.cross_targets
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
+    if prune or undirected or d_max < 3:
+        two_left = 0  # no frame has that length: the tables are never read
+    else:
+        two_left = d_max - 1
+        near, two_hop = _two_hop_tables(index)
 
     records = []
     append_record = records.append
@@ -366,6 +426,8 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
             if rels is not None and bound >= bar:
                 push((path + (target,), rels + (rid,), new_transitions,
                       new_impact, new_docs))
+            elif n == two_left and not any(map(near[target].__contains__, path)):
+                counted += two_hop[min(new_transitions, 2)][target]
             elif n < d_max:
                 push((path + (target,), None, new_transitions, new_impact, None))
             elif new_transitions:
@@ -402,7 +464,7 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
             prune = prune is None or bool(prune)
         max_impact = max(index.sevcent, default=0.0)
         top, enumerated, scored = _top_candidates(index, config, f_max, prune,
-                                                  max_impact)
+                                                  max_impact, undirected)
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),

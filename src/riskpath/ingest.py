@@ -115,9 +115,15 @@ def normalize_name(text: str) -> str:
     return _WHITESPACE.sub(" ", text.strip().lower())
 
 
+# every phase set, each once: equal parsed sets share one object
+_PHASE_SETS = {phases: phases for phases in (
+    frozenset(p for i, p in enumerate(Phase) if bits >> i & 1)
+    for bits in range(1 << len(Phase)))}
+
+
 def _parse_phases(values, line: int) -> frozenset[Phase]:
     try:
-        return frozenset(Phase.from_string(v) for v in values)
+        return _PHASE_SETS[frozenset(Phase.from_string(v) for v in values)]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad phases: {exc}") from None
 

@@ -446,6 +446,82 @@ class TestTopKCut:
                 assert total <= bound, (n, transitions, hops)
 
 
+def cyclic_multigraph(seed: int):
+    """Small random graph plus 2-cycles, self-loops and parallel relations
+    with a predicate of their own, so that they lie near short pathways."""
+    rng = random.Random(seed)
+    base, _ = random_graph(rng, 20, 36, n_docs=6)
+    relations = list(base.relations.values())
+    extra = []
+    for kind, count in (("back", 6), ("loop", 3), ("twin", 4)):
+        for rel in rng.sample(relations, count):
+            source, target, predicate = {
+                "back": (rel.target, rel.source, "returns"),
+                "loop": (rel.source, rel.source, "feeds"),
+                "twin": (rel.source, rel.target, "echoes"),
+            }[kind]
+            extra.append(Relation(id=f"{kind}{len(extra):03d}", source=source,
+                                  predicate=predicate, target=target,
+                                  doc_ids=rel.doc_ids))
+    graph = build_graph(list(base.entities.values()), relations + extra)
+    return graph, CorpusStats.from_graph(graph)
+
+
+class TestTwoHopTable:
+    """A count-only subtree with two hops left is counted from a table."""
+
+    @pytest.mark.parametrize("seed", (8300, 8301, 8303, 8304))
+    def test_cut_counts_match_oracle_near_cycles(self, seed):
+        graph, stats = cyclic_multigraph(seed)
+        cut_somewhere = False
+        for undirected in (False, True):
+            for fmax_mode in ("pathway-max", "edge-max"):
+                for d_max in (3, 4, 5):
+                    config = ScoringConfig(fmax_mode=fmax_mode, d_max=d_max,
+                                           top_k=2, theta_novelty=0.0)
+                    cent = pagerank(graph, config)
+                    want = enumerate_oracle(graph, stats, cent, config,
+                                            undirected=undirected)
+                    got = discover(graph, stats, cent, config, prune=False,
+                                   undirected=undirected)
+                    where = f"undirected={undirected} {fmax_mode} d_max={d_max}"
+                    assert got.pathways == want.pathways, where
+                    assert got.candidates_enumerated == want.candidates_enumerated, where
+                    cut_somewhere |= got.candidates_scored < got.candidates_enumerated
+        assert cut_somewhere
+
+    def test_table_counts_reach_the_counter(self, monkeypatch):
+        graph, stats = cyclic_multigraph(8300)
+        config = ScoringConfig(top_k=1)
+        cent = pagerank(graph, config)
+        want = discover(graph, stats, cent, config)
+        tables = discovery._two_hop_tables
+
+        def one_more(index):
+            near, counts = tables(index)
+            return near, tuple([count + 1 for count in row] for row in counts)
+
+        monkeypatch.setattr(discovery, "_two_hop_tables", one_more)
+        got = discover(graph, stats, cent, config)
+        assert got.pathways == want.pathways
+        assert got.candidates_enumerated > want.candidates_enumerated
+
+    def test_no_table_under_theta_rule_undirected_or_short(self, monkeypatch):
+        # the θ rule must still see each inner frame, an undirected
+        # predecessor is always within one hop, and d_max 2 has no two-hop tail
+        graph, stats = cyclic_multigraph(8301)
+
+        def unused(index):
+            raise AssertionError("two-hop tables built")
+
+        monkeypatch.setattr(discovery, "_two_hop_tables", unused)
+        for config, kwargs in (
+                (ScoringConfig(fmax_mode="edge-max", top_k=1), {}),
+                (ScoringConfig(top_k=1), {"undirected": True}),
+                (ScoringConfig(top_k=1, d_max=2), {})):
+            discover(graph, stats, pagerank(graph, config), config, **kwargs)
+
+
 class TestMonotonicity:
     def test_raising_dmax_never_removes_candidates(self):
         rng = random.Random(808)

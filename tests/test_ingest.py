@@ -205,7 +205,7 @@ class TestSharedStrings:
     @pytest.mark.parametrize("path", ["jsonl-plain", "jsonl-record", "tsv"])
     def test_one_object_per_distinct_value(self, rows, path):
         if path == "tsv":
-            text = "".join("\t".join((r["s"], r["p"], r["o"], r["doc"])) + "\n"
+            text = "".join("\t".join((r["s"], r["p"], r["o"], r["doc"], "acute")) + "\n"
                            for r in rows)
         else:  # a phases key sends every line through _triple_from_record
             extra = {"phases": ["acute"]} if path == "jsonl-record" else {}
@@ -213,6 +213,8 @@ class TestSharedStrings:
         triples, errors = parse_triples(io.StringIO(text), "tsv" if path == "tsv" else "jsonl")
         assert errors == [] and len(triples) == 57_344
         assert _share_counts(triples) == (5_451, 5_451)
+        # one phase-set object, not one per record
+        assert len({id(triple.phases) for triple in triples}) == 1
 
     def test_paths_share_one_object(self):
         # longer than one character: CPython keeps one object per 1-char string
@@ -223,6 +225,23 @@ class TestSharedStrings:
             {"s": "\u00e9t\u00e9", "p": "drives", "o": "heat", "doc": "d01"}))
         assert errors == []
         assert _share_counts(triples) == (5, 5)
+
+    def test_equal_phase_sets_share_one_object(self):
+        triples, errors = parse_triples(jsonl(
+            {"s": "heat", "p": "drives", "o": "demand", "doc": "d01", "phases": ["acute"]},
+            {"s": "heat", "p": "drives", "o": "demand", "doc": "d02", "phases": [" ACUTE"]},
+            {"s": "heat", "p": "drives", "o": "demand", "doc": "d03",
+             "phases": ["chronic", "acute"]},
+            {"s": "heat", "p": "drives", "o": "demand", "doc": "d04",
+             "phases": ["acute", "chronic", "acute"]}))
+        tsv, tsv_errors = parse_triples(io.StringIO(
+            "heat\tdrives\tdemand\td05\tchronic,acute\n"
+            "heat\tdrives\tdemand\td06\tacute\n"), "tsv")
+        assert errors == tsv_errors == []
+        phases = [triple.phases for triple in triples + tsv]
+        assert phases == [frozenset({Phase.ACUTE})] * 2 + [
+            frozenset({Phase.ACUTE, Phase.CHRONIC})] * 3 + [frozenset({Phase.ACUTE})]
+        assert len(set(map(id, phases))) == 2
 
 
 class TestCanonicalize:
