@@ -15,22 +15,31 @@ best total so far. Two cuts compare ``_extension_bound``, an admissible
 upper bound on the total of any extension of a pathway, with a threshold:
 
 - the bar cut, always on: a subtree whose bound is below the bar cannot
-  reach the top k, so the same walk counts its candidates but scores none;
+  reach the top k, so its candidates are counted but none is scored; here
+  the bound takes the impact of the entity appended at hop j to be at most
+  the largest among the entities within j hops of the pathway's end
+  (``_hop_maxima``);
 - the θ rule, in edge-max mode with ``prune`` only: a subtree whose bound is
-  at most θ is skipped, and its candidates go uncounted.
+  at most θ is skipped, and its candidates go uncounted. With the rule on,
+  both cuts take the graph-wide maximum impact at every hop, because a
+  tighter bound would skip more subtrees and so change the counter.
 
 Neither cut changes the returned pathways, and neither does the order of
 the walk. ``candidates_enumerated``, a diagnostic counter, counts every
 candidate except those under the θ rule, whatever ``top_k`` and the order
 of the sources; ``candidates_scored`` counts the ones that were scored.
 
-Counting a cut subtree costs less than walking it. Its last hop is counted
-from its end entity's targets. When the θ rule is off and the walk is
-directed, a cut subtree with two hops left is counted from per-entity
-tables (``_two_hop_tables``) unless a pathway entity lies within two hops
-of its end; such a conflict falls back to the walk. Under the θ rule each
-inner frame must still be tested against θ, and undirected the pathway's
-last entity is always one hop from its end, so no tables are built there.
+Counting a cut subtree costs less than walking it (``_count_cut``). When
+the θ rule is off and the walk is directed, per-hop tables give each
+entity's count of candidates within h hops, and a bit signature of the
+entities within h hops of it. A cut subtree adds its table entry when that
+signature shares no bit with the pathway's; otherwise it is walked one hop,
+and each child tries the tables again. A shared bit may be a collision,
+which costs a walk but never a wrong count. A last hop is counted from its
+end entity's targets. Under the θ rule each inner frame must still be
+tested against θ, and undirected the pathway's previous entity is always
+one hop from its end, so no tables are built there and cut subtrees are
+walked.
 """
 
 from __future__ import annotations
@@ -50,7 +59,6 @@ from .scoring import (
     CentralityScores,
     ScoreBreakdown,
     ScoringConfig,
-    combine,
     cross_layer_connectivity,
     cross_layer_count,
     entity_doc_index,
@@ -196,27 +204,37 @@ def edge_max_frequency(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     return max((len(docs) for docs in corpus_stats.edge_doc_index.values()), default=0)
 
 
+_SIGNATURE_BITS = 1024
+"""Width of the cut-count tables' bit signatures: entity ``v`` sets bit
+``v % _SIGNATURE_BITS``. A shared bit only sends a subtree to the exact walk,
+so any width gives the same counts."""
+
+
 def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
-                     config: ScoringConfig, max_impact: float) -> float:
+                     config: ScoringConfig, max_impact: float,
+                     reach: tuple[float, ...] | None = None) -> float:
     """Admissible upper bound on the total of any strict extension.
 
     LF can only reach 1; CLC's best case adds a layer transition on every
     remaining hop (monotone in the number of hops added); IP's best case
-    appends entities at the graph-wide maximum of normalized centrality times
-    severity. The IP term is the largest mean over every number of added
-    hops, each sum built one hop at a time as the traversal builds a
-    pathway's, so float rounding never lifts a real extension's total above
-    the bound, not even at a tie.
+    appends, at hop j, an entity at ``reach[j - 1]``, the largest normalized
+    centrality times severity among the entities 1..j adjacency hops from
+    the pathway's last entity (``R_j``, see :func:`_hop_maxima`), or at
+    ``max_impact``, the graph-wide maximum, when ``reach`` is None. The IP
+    term is the largest mean over every number of added hops, each sum built
+    one hop at a time as the traversal builds a pathway's, so float rounding
+    never lifts a real extension's total above the bound, not even at a tie.
     """
     k_max = config.d_max - (num_entities - 1)
     clc_bound = (transitions + k_max) / (num_entities - 1 + k_max)
     ip_bound = 0.0
-    for hops in range(1, k_max + 1):
-        impact_sum += max_impact
-        ip = impact_sum / (num_entities + hops)
+    for hop in range(k_max):
+        impact_sum += max_impact if reach is None else reach[hop]
+        ip = impact_sum / (num_entities + hop + 1)
         if ip > ip_bound:
             ip_bound = ip
-    return combine(1.0, clc_bound, ip_bound, config)
+    # expression kept identical to combine
+    return config.alpha * 1.0 + config.beta * clc_bound + config.gamma * ip_bound
 
 
 class _GraphIndex:
@@ -230,8 +248,8 @@ class _GraphIndex:
     target's. ``entity_docs`` (the entity doc index) and each ``start_docs``
     entry are None in ``docs`` mode. ``targets`` and ``cross_targets`` list
     each entity's adjacency targets, all of them and those on another layer,
-    to count a pathway's last hop; ``_two_hop_tables`` derives from them
-    the counts of a cut subtree's last two hops.
+    to count a pathway's last hop; ``_hop_maxima`` derives the per-entity
+    impact bound from ``targets``, and ``_cut_tables`` its count tables.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -295,44 +313,143 @@ def _pathway_f_max(index: _GraphIndex, d_max: int) -> int:
     return best
 
 
-def _two_hop_tables(index: _GraphIndex) -> tuple[list, tuple[list, list, list]]:
-    """Per-entity tables that count a count-only subtree's last two hops.
+def _hop_maxima(index: _GraphIndex, hops: int) -> list[tuple[float, ...]]:
+    """``(R_1(v), ..., R_hops(v))`` for every entity ``v``.
 
-    Returns ``(near, counts)``. ``near[v]`` is a tuple of the entities one
-    or two adjacency hops from ``v``, each once. ``counts[c][v]``, for ``c``
-    of 0, 1 and 2 (2 or more) layer transitions on a pathway ending at
-    ``v``, is the number of candidates among its one- and two-hop
-    extensions, provided that no other pathway entity is in ``near[v]``.
-    Each adjacency entry counts, so parallel relations count apart; a hop
-    onto the entity it leaves (a self-loop) or back to ``v`` is no
-    extension.
+    ``R_j(v)`` is the largest normalized centrality times severity among the
+    entities 1..j adjacency hops from ``v`` (0.0 when there is none), so it
+    bounds the impact of the entity that an extension ending at ``v``
+    appends at hop j. It takes ``hops`` passes over ``targets``: ``R_j(v)``
+    is the larger of ``R_1(v)`` and every target's ``R_(j-1)``.
     """
-    layer, targets, cross_targets = index.layer, index.targets, index.cross_targets
-    onward = [len(hops) - hops.count(u) for u, hops in enumerate(targets)]
-    near = []
-    counts = ([], [], [])
-    for v, firsts in enumerate(targets):
-        reach = set(firsts)
-        c0 = c1 = c2 = 0
-        for u in firsts:
-            if u == v:
+    sevcent, targets = index.sevcent, index.targets
+    level = [max(map(sevcent.__getitem__, ends), default=0.0) for ends in targets]
+    levels = [level]
+    for _ in range(hops - 1):
+        level = [max(one, max(map(level.__getitem__, ends), default=one))
+                 for ends, one in zip(targets, levels[0])]
+        levels.append(level)
+    return list(zip(*levels))
+
+
+def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
+    """Per-hop tables that count a cut subtree's candidates.
+
+    Returns ``(sigs, counts)`` for h = 2..``d_max`` - 2 hops; one hop left
+    is counted from ``targets``. Level h is built in one pass over
+    ``targets`` from level h - 1, starting at h = 1. A signature has bit
+    ``v % _SIGNATURE_BITS`` set for each of a set of entities ``v``;
+    ``sigs[h - 2][v]`` is that of the entities 1..h adjacency hops from
+    ``v``. ``counts[h - 2][c][v]`` is the number of candidates among ``v``'s
+    1..h hop extensions when ``v`` ends a pathway with ``c`` layer
+    transitions (2 for 2 or more) and no other pathway entity is within
+    ``h`` hops of it. Each adjacency entry counts, so parallel relations
+    count apart; a hop onto the entity it leaves (a self-loop) or back onto
+    the pathway is no extension.
+
+    A target ``u`` of ``v`` whose level below has ``v``'s bit might lead
+    back to ``v``. At h = 2 :func:`_count_cut` counts ``u``'s last hops
+    instead. Deeper, that walk would take h - 1 hops for each such target,
+    and on a graph whose signatures fill up, for nearly every one; so
+    ``v``'s signature becomes -1, every bit, its counts are left unused, and
+    each lookup of it walks.
+    """
+    layer, targets, width = index.layer, index.targets, _SIGNATURE_BITS
+    sigs, counts = [], []
+    bit = [1 << v % width for v in range(len(layer))]
+    sig = [0] * len(layer)  # the level below: nothing within 0 hops
+    below = ([0] * len(layer),) * 3
+    for h in range(1, config.d_max - 1):
+        level_sig, c0, c1, c2 = [], [], [], []
+        for v, ends in enumerate(targets):
+            here = layer[v]
+            near = n0 = n1 = n2 = 0
+            for u in ends:
+                if u == v:
+                    continue
+                near |= bit[u] | sig[u]
+                if not sig[u] & bit[v]:
+                    a0, a1, a2 = below[0][u], below[1][u], below[2][u]
+                elif h == 2:
+                    a0, a1, a2 = (_count_cut([((v, u), bit[v] | bit[u], c, 0.0, 1)],
+                                             index, config, False, 0.0, ([], []))
+                                  for c in range(3))
+                else:
+                    near = -1
+                    break
+                # u is a candidate once the pathway has crossed layers twice
+                if layer[u] != here:
+                    n0 += a1
+                    n1 += 1 + a2
+                else:
+                    n0 += a0
+                    n1 += a1
+                n2 += 1 + a2
+            level_sig.append(near)
+            c0.append(n0)
+            c1.append(n1)
+            c2.append(n2)
+        sig, below = level_sig, (c0, c1, c2)
+        if h > 1:  # one hop left is counted from targets
+            sigs.append(sig)
+            counts.append(below)
+    return sigs, counts
+
+
+def _count_cut(stack: list, index: _GraphIndex, config: ScoringConfig, prune: bool,
+               max_impact: float, tables: tuple[list, list]) -> int:
+    """The candidates among the extensions of the pathways on ``stack``.
+
+    A frame is ``(path, bits, transitions, impact sum, hops)``: the pathway,
+    its signature and layer transitions, and the number of hops its
+    extensions may add. The walk takes one hop at a time. A child with one
+    hop left counts its last hops from its ``targets`` (``cross_targets``
+    after one transition) less those on the pathway. A child with ``h``
+    hops left adds its ``counts[h - 2]`` entry of ``tables`` (see
+    :func:`_cut_tables`) when its ``sigs[h - 2]`` shares no bit with the
+    pathway's signature, and is walked the same way otherwise. A shared bit
+    may be a collision, which costs a walk but never a wrong count. With
+    ``prune`` (the θ rule) a child that could be extended is skipped, its
+    candidates uncounted, when its ``_extension_bound`` with the graph-wide
+    ``max_impact`` is at most θ.
+    """
+    adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
+    targets, cross_targets = index.targets, index.cross_targets
+    theta = config.theta_novelty
+    sigs, counts = tables
+    tiers = len(sigs) + 1  # the most hops left that a table covers
+    width = _SIGNATURE_BITS if sigs else 1  # as in _top_candidates
+    total = 0
+    push, pop = stack.append, stack.pop
+    while stack:
+        path, bits, transitions, impact_sum, hops = pop()
+        last = path[-1]
+        last_layer = layer[last]
+        n = len(path) + 1  # entities in a one-hop extension
+        hops -= 1  # hops left after it
+        for target, _, _ in adjacency[last]:
+            if target in path:
                 continue
-            reach.update(targets[u])
-            # u is a candidate once the pathway has crossed layers twice; its
-            # last hops are then all of its targets, after one crossing only
-            # those on another layer, and none before
-            back = targets[u].count(v)
-            if layer[u] != layer[v]:
-                c0 += len(cross_targets[u]) - back
-                c1 += 1 + onward[u] - back
+            new_transitions = transitions + (layer[target] != last_layer)
+            total += new_transitions >= 2
+            if not hops:
+                continue
+            new_impact = impact_sum + sevcent[target]
+            if prune and _extension_bound(n, new_transitions, new_impact,
+                                          config, max_impact) <= theta:
+                continue
+            if hops == 1:
+                if new_transitions:
+                    last_hop = (targets[target] if new_transitions >= 2
+                                else cross_targets[target])
+                    total += (len(last_hop) - sum(map(last_hop.count, path))
+                              - last_hop.count(target))
+            elif hops <= tiers and not sigs[hops - 2][target] & bits:
+                total += counts[hops - 2][min(new_transitions, 2)][target]
             else:
-                c1 += len(cross_targets[u])
-            c2 += 1 + onward[u] - back
-        near.append(tuple(reach))
-        counts[0].append(c0)
-        counts[1].append(c1)
-        counts[2].append(c2)
-    return near, counts
+                push((path + (target,), bits | 1 << target % width,
+                      new_transitions, new_impact, hops))
+    return total
 
 
 def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
@@ -345,95 +462,96 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
     idx tuple, f, lf, clc, ip)``; entity and relation indexes follow sorted
     ids, so records sort in :func:`rank_top_k`'s order.
 
-    One depth-first walk over one stack covers all the sources. A frame is
-    ``(path, rels, transitions, impact sum, docs)``; a count-only frame has
-    ``rels`` and ``docs`` None, and its candidates are counted, not scored.
-    A count-only subtree whose extensions are all last hops is not pushed:
-    its candidates are counted from the last entity's ``targets`` (its
-    ``cross_targets`` when the pathway has crossed layers once), less the
-    targets already on the pathway. Without ``prune``, on a directed walk
-    with ``d_max`` at least 3, a count-only subtree with two hops left is
-    not pushed either when no other pathway entity is in ``near`` of its
-    end: it adds that end's entry of ``_two_hop_tables``. A conflict pushes
-    it as before; with ``prune``, undirected or below ``d_max`` 3 the tables
-    are not built.
+    One depth-first walk over one stack covers all the sources, and each of
+    its frames, ``(path, rels, bits, transitions, impact sum, docs)``, is
+    scored; ``bits`` is the path's signature (:func:`_cut_tables`).
 
     The bar is the ``top_k``-th best total among the records kept so far,
     −∞ until there are ``top_k`` of them. Every record is a real candidate,
     so the bar never exceeds the final ``top_k``-th total. A candidate below
-    the bar gets no record, and a subtree whose bound is below it goes on
-    the stack count-only; both comparisons are strict, so ties at the
-    ``top_k``-th place still go to the tie-breaks. With ``prune`` the θ rule
-    comes first, in both kinds of frame: a subtree whose bound is at most θ
-    is neither scored nor counted. Without ``prune`` a count-only frame
-    computes no bound at all.
+    the bar gets no record, and a subtree whose bound is below it is cut:
+    its candidates are counted, not scored, as in :func:`_count_cut`, which
+    walks the cut children of a frame that no last-hop count or table entry
+    covers. Both comparisons are strict, so ties at the ``top_k``-th place
+    still go to the tie-breaks. The bound takes each entity's per-hop maxima
+    (:func:`_hop_maxima`). With ``prune`` it takes the graph-wide maximum at
+    every hop instead, and the θ rule comes first: a subtree whose bound is
+    at most θ is neither scored nor counted. A tighter bound there would
+    skip more, and lower ``candidates_enumerated``.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
     targets, cross_targets = index.targets, index.cross_targets
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
-    if prune or undirected or d_max < 3:
-        two_left = 0  # no frame has that length: the tables are never read
-    else:
-        two_left = d_max - 1
-        near, two_hop = _two_hop_tables(index)
+    # with the θ rule each inner frame must be tested against θ, undirected
+    # a pathway's previous entity is always one hop from its end, and below
+    # d_max 4 a table would cover no count
+    tables = ([], []) if prune or undirected or d_max < 4 else _cut_tables(index, config)
+    sigs, counts = tables
+    tiers = len(sigs) + 1  # the most hops left that a table covers
+    # without tables no signature is read, and one-bit signatures cost least
+    width = _SIGNATURE_BITS if sigs else 1
+    reach = [None] * len(sevcent) if prune else _hop_maxima(index, d_max - 1)
 
     records = []
     append_record = records.append
     bar = -math.inf
     counted = scored = 0
-    stack = [((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source])
+    stack = [((source,), (), 1 << source % width, 0, 0.0 + sevcent[source],
+              index.start_docs[source])
              for source in reversed(index.sources)]  # popped in source order
     push, pop = stack.append, stack.pop
     while stack:
-        path, rels, transitions, impact_sum, docs = pop()
+        path, rels, bits, transitions, impact_sum, docs = pop()
         last = path[-1]
         n = len(path) + 1  # entities in a one-hop extension
-        deeper = n <= d_max  # a one-hop extension can be extended again
+        hops = d_max + 1 - n  # hops left after it
         last_layer = layer[last]
+        cut = []
         for target, rid, step in adjacency[last]:
             if target in path:
                 continue
             new_transitions = transitions + (layer[target] != last_layer)
             new_impact = impact_sum + sevcent[target]
-            if rels is None:
-                counted += new_transitions >= 2
-            else:
-                new_docs = step if docs is None else docs & step
-                if new_transitions >= 2:
-                    scored += 1
-                    f = len(new_docs)
-                    clc = new_transitions / (n - 1)
-                    ip = new_impact / n
-                    # expression kept identical to literature_frequency/combine
-                    lf = 1.0 if f_max == 0 else 1.0 - f / f_max
-                    total = alpha * lf + beta * clc + gamma * ip
-                    if total >= bar and total > theta:
-                        append_record((-total, n, path + (target,), rels + (rid,),
-                                       f, lf, clc, ip))
-                        if len(records) >= trim_at:
-                            records = heapq.nsmallest(top_k, records)
-                            append_record = records.append
-                            bar = -records[-1][0]
-            if not deeper:
+            new_docs = step if docs is None else docs & step
+            if new_transitions >= 2:
+                scored += 1
+                f = len(new_docs)
+                clc = new_transitions / (n - 1)
+                ip = new_impact / n
+                # expression kept identical to literature_frequency/combine
+                lf = 1.0 if f_max == 0 else 1.0 - f / f_max
+                total = alpha * lf + beta * clc + gamma * ip
+                if total >= bar and total > theta:
+                    append_record((-total, n, path + (target,), rels + (rid,),
+                                   f, lf, clc, ip))
+                    if len(records) >= trim_at:
+                        records = heapq.nsmallest(top_k, records)
+                        append_record = records.append
+                        bar = -records[-1][0]
+            if not hops:
                 continue
-            if prune or rels is not None:
-                bound = _extension_bound(n, new_transitions, new_impact,
-                                         config, max_impact)
-                if prune and bound <= theta:
-                    continue
-            if rels is not None and bound >= bar:
-                push((path + (target,), rels + (rid,), new_transitions,
-                      new_impact, new_docs))
-            elif n == two_left and not any(map(near[target].__contains__, path)):
-                counted += two_hop[min(new_transitions, 2)][target]
-            elif n < d_max:
-                push((path + (target,), None, new_transitions, new_impact, None))
-            elif new_transitions:
-                last_hop = targets[target] if new_transitions >= 2 else cross_targets[target]
-                counted += (len(last_hop) - sum(map(last_hop.count, path))
-                            - last_hop.count(target))
+            bound = _extension_bound(n, new_transitions, new_impact, config,
+                                     max_impact, reach[target])
+            if prune and bound <= theta:
+                continue
+            if bound >= bar:
+                push((path + (target,), rels + (rid,), bits | 1 << target % width,
+                      new_transitions, new_impact, new_docs))
+            elif hops == 1:
+                if new_transitions:
+                    last_hop = (targets[target] if new_transitions >= 2
+                                else cross_targets[target])
+                    counted += (len(last_hop) - sum(map(last_hop.count, path))
+                                - last_hop.count(target))
+            elif hops <= tiers and not sigs[hops - 2][target] & bits:
+                counted += counts[hops - 2][min(new_transitions, 2)][target]
+            else:
+                cut.append((path + (target,), bits | 1 << target % width,
+                            new_transitions, new_impact, hops))
+        if cut:
+            counted += _count_cut(cut, index, config, prune, max_impact, tables)
     return heapq.nsmallest(top_k, records), counted + scored, scored
 
 

@@ -30,7 +30,9 @@ by the sha256 that stage's input fingerprint read for ``graph.rpkg``. A
 later stage uses it only when its own input fingerprint hashes
 ``graph.rpkg`` to that key, and loads the file otherwise. So a fresh run
 never loads ``graph.rpkg``, a resume or a rerun loads it at most once, and
-a changed snapshot is never reused.
+a changed snapshot is never reused. Ingest's manifest record takes that key
+as the output hash of ``graph.rpkg``, since it hashed the same bytes; the
+later stages still hash the file for their input fingerprints.
 
 Transient failures (I/O) are retried with exponential backoff up to a retry
 limit; validation/config failures fail fast.
@@ -626,8 +628,12 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
 
             _maybe_crash("before_record", stage)
             record.output_paths = list(STAGE_OUTPUTS[stage])
+            # ingest held its graph under the sha256 of the bytes it left in
+            # graph.rpkg; later stages hash the file for their own inputs
+            known = {"graph.rpkg": held.key} if stage == "ingest" and held.key else {}
             record.output_fingerprints = [
-                _sha256_file(workdir / name) for name in record.output_paths]
+                known.get(name) or _sha256_file(workdir / name)
+                for name in record.output_paths]
             record.status = "done"
             _save_manifest(workdir, records)
             _maybe_crash("after_record", stage)

@@ -445,6 +445,38 @@ class TestTopKCut:
                 total = combine(1.0, (transitions + hops) / (m - 1), impact / m, DEFAULTS)
                 assert total <= bound, (n, transitions, hops)
 
+    def test_bound_covers_extensions_with_per_hop_maxima(self):
+        # hop j appends an entity of impact at most R_j, R_j not falling with j
+        rng = random.Random(12)
+        for _ in range(5000):
+            n = rng.randint(2, DEFAULTS.d_max)
+            transitions = rng.randint(0, n - 1)
+            reach = sorted(rng.random() for _ in range(DEFAULTS.d_max - 1))
+            impact = 0.0
+            for _ in range(n):
+                impact += rng.random()
+            bound = _extension_bound(n, transitions, impact, DEFAULTS, 1.0, tuple(reach))
+            for hops in range(1, DEFAULTS.d_max - n + 2):
+                top = reach[hops - 1]
+                impact += top if rng.random() < 0.5 else rng.random() * top
+                m = n + hops
+                total = combine(1.0, (transitions + hops) / (m - 1), impact / m, DEFAULTS)
+                assert total <= bound, (n, transitions, hops)
+
+    def test_hop_maxima_are_reachable_maxima(self):
+        graph, stats = cyclic_multigraph(8305)
+        cent = pagerank(graph, DEFAULTS)
+        for undirected in (False, True):
+            index = discovery._GraphIndex(graph, stats, cent, DEFAULTS.freq_mode, undirected)
+            reach = discovery._hop_maxima(index, 4)
+            for v, maxima in enumerate(reach):
+                frontier, seen = {v}, set()
+                for hops in range(4):
+                    frontier = {u for w in frontier for u in index.targets[w]}
+                    seen |= frontier
+                    assert maxima[hops] == max((index.sevcent[u] for u in seen),
+                                               default=0.0)
+
 
 def cyclic_multigraph(seed: int):
     """Small random graph plus 2-cycles, self-loops and parallel relations
@@ -467,8 +499,8 @@ def cyclic_multigraph(seed: int):
     return graph, CorpusStats.from_graph(graph)
 
 
-class TestTwoHopTable:
-    """A count-only subtree with two hops left is counted from a table."""
+class TestCutTables:
+    """A cut subtree is counted from per-hop tables, or walked on a conflict."""
 
     @pytest.mark.parametrize("seed", (8300, 8301, 8303, 8304))
     def test_cut_counts_match_oracle_near_cycles(self, seed):
@@ -490,36 +522,58 @@ class TestTwoHopTable:
                     cut_somewhere |= got.candidates_scored < got.candidates_enumerated
         assert cut_somewhere
 
+    def test_one_bit_signatures_match_oracle(self, monkeypatch):
+        # every pathway shares the one bit, so every table lookup but those
+        # of an entity with nothing in reach conflicts and is walked
+        monkeypatch.setattr(discovery, "_SIGNATURE_BITS", 1)
+        graph, stats = cyclic_multigraph(8302)
+        for fmax_mode in ("pathway-max", "edge-max"):
+            for d_max in (4, 5):
+                config = ScoringConfig(fmax_mode=fmax_mode, d_max=d_max, top_k=1,
+                                       theta_novelty=0.0)
+                cent = pagerank(graph, config)
+                assert results_equal(discover(graph, stats, cent, config, prune=False),
+                                     enumerate_oracle(graph, stats, cent, config))
+
     def test_table_counts_reach_the_counter(self, monkeypatch):
         graph, stats = cyclic_multigraph(8300)
         config = ScoringConfig(top_k=1)
         cent = pagerank(graph, config)
         want = discover(graph, stats, cent, config)
-        tables = discovery._two_hop_tables
+        tables = discovery._cut_tables
 
-        def one_more(index):
-            near, counts = tables(index)
-            return near, tuple([count + 1 for count in row] for row in counts)
+        def one_more(*args):
+            sigs, counts = tables(*args)
+            return sigs, [[[n + 1 for n in row] for row in level] for level in counts]
 
-        monkeypatch.setattr(discovery, "_two_hop_tables", one_more)
+        monkeypatch.setattr(discovery, "_cut_tables", one_more)
         got = discover(graph, stats, cent, config)
         assert got.pathways == want.pathways
         assert got.candidates_enumerated > want.candidates_enumerated
 
     def test_no_table_under_theta_rule_undirected_or_short(self, monkeypatch):
         # the θ rule must still see each inner frame, an undirected
-        # predecessor is always within one hop, and d_max 2 has no two-hop tail
+        # predecessor is always within one hop, and one hop left is
+        # counted from targets, so d_max 3 has no level
         graph, stats = cyclic_multigraph(8301)
+        tables = discovery._cut_tables
+        levels = []
 
-        def unused(index):
-            raise AssertionError("two-hop tables built")
+        def recorded(index, config):
+            sigs, counts = tables(index, config)
+            levels.append((config.d_max, len(sigs), len(counts)))
+            return sigs, counts
 
-        monkeypatch.setattr(discovery, "_two_hop_tables", unused)
+        monkeypatch.setattr(discovery, "_cut_tables", recorded)
         for config, kwargs in (
                 (ScoringConfig(fmax_mode="edge-max", top_k=1), {}),
                 (ScoringConfig(top_k=1), {"undirected": True}),
-                (ScoringConfig(top_k=1, d_max=2), {})):
+                (ScoringConfig(top_k=1, d_max=2), {}),
+                (ScoringConfig(top_k=1, d_max=3), {}),
+                (ScoringConfig(top_k=1), {})):
             discover(graph, stats, pagerank(graph, config), config, **kwargs)
+        # one level for each of 2..d_max - 2 hops left
+        assert levels == [(5, 2, 2)]
 
 
 class TestMonotonicity:

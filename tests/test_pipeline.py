@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -570,6 +572,23 @@ class TestOneGraphPerRun:
         assert loads == ["graph.rpkg"]
         for name in OUTPUTS:
             assert (crash / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_ingest_hashes_its_snapshot_once(self, tmp_path, monkeypatch):
+        hashed = []
+        real = pipeline._sha256_file
+        monkeypatch.setattr(pipeline, "_sha256_file",
+                            lambda path: hashed.append(Path(path).name) or real(path))
+        workdir = tmp_path / "work"
+        config = make_config(tmp_path)
+        # the second run reruns ingest, which leaves graph.rpkg's bytes as they were
+        for config in (config, dataclasses.replace(config, malformed_tolerance=0.2)):
+            hashed.clear()
+            assert run(config, workdir).executed[0] == "ingest"
+            # ingest's key for the graph it holds, then each later stage's input
+            assert hashed.count("graph.rpkg") + hashed.count("graph.rpkg.tmp") == 4
+            ingest = json.loads((workdir / "manifest.json").read_text())[0]
+            graph = hashlib.sha256((workdir / "graph.rpkg").read_bytes()).hexdigest()
+            assert ingest["output_fingerprints"][0] == graph
 
     @pytest.mark.parametrize("after", ["ingest", "pagerank", "discover"])
     def test_snapshot_replaced_between_stages_is_loaded(self, tmp_path, monkeypatch,
