@@ -370,8 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; has no effect "
                         "(discovery runs on one thread)")
     prune = p.add_mutually_exclusive_group()
-    prune.add_argument("--prune", dest="prune", action="store_true", default=None)
-    prune.add_argument("--no-prune", dest="prune", action="store_false")
+    prune.add_argument("--prune", dest="prune", action="store_true", default=None,
+                       help="accepted for compatibility; has no effect")
+    prune.add_argument("--no-prune", dest="prune", action="store_false",
+                       help="accepted for compatibility; has no effect")
     p.add_argument("--undirected", action="store_true",
                    help="traverse edges in both directions (exploratory)")
     p.add_argument("--out", help="pathways JSON path (default workdir/pathways.json)")

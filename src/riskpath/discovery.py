@@ -11,35 +11,28 @@ enumerate, ``discover`` must produce the identical result.
 F_max is fixed before traversal in both modes, so a candidate is scored as
 it is found. Every source runs on the calling thread; the sources share one
 record buffer, kept to the ``top_k`` best, and its bar, the ``top_k``-th
-best total so far. Two cuts compare ``_extension_bound``, an admissible
-upper bound on the total of any extension of a pathway, with a threshold:
+best total so far. One cut compares ``_extension_bound``, an admissible
+upper bound on the total of any extension of a pathway, with the bar and
+with θ: a subtree whose bound is below the bar or at most θ can add no
+pathway to the result, so its candidates are counted but none is scored.
+The bound takes the impact of the entity appended at hop j to be at most
+the largest among the entities within j hops of the pathway's end
+(``_hop_maxima``).
 
-- the bar cut, always on: a subtree whose bound is below the bar cannot
-  reach the top k, so its candidates are counted but none is scored; here
-  the bound takes the impact of the entity appended at hop j to be at most
-  the largest among the entities within j hops of the pathway's end
-  (``_hop_maxima``);
-- the θ rule, in edge-max mode with ``prune`` only: a subtree whose bound is
-  at most θ is skipped, and its candidates go uncounted. With the rule on,
-  both cuts take the graph-wide maximum impact at every hop, because a
-  tighter bound would skip more subtrees and so change the counter.
-
-Neither cut changes the returned pathways, and neither does the order of
-the walk. ``candidates_enumerated``, a diagnostic counter, counts every
-candidate except those under the θ rule, whatever ``top_k`` and the order
-of the sources; ``candidates_scored`` counts the ones that were scored.
+Neither the cut nor the order of the walk changes the returned pathways.
+``candidates_enumerated``, a diagnostic counter, counts every candidate,
+whatever ``top_k`` and θ; ``candidates_scored`` counts the ones that were
+scored.
 
 Counting a cut subtree costs less than walking it (``_count_cut``). When
-the θ rule is off and the walk is directed, per-hop tables give each
-entity's count of candidates within h hops, and a bit signature of the
-entities within h hops of it. A cut subtree adds its table entry when that
-signature shares no bit with the pathway's; otherwise it is walked one hop,
-and each child tries the tables again. A shared bit may be a collision,
-which costs a walk but never a wrong count. A last hop is counted from its
-end entity's targets. Under the θ rule each inner frame must still be
-tested against θ, and undirected the pathway's previous entity is always
-one hop from its end, so no tables are built there and cut subtrees are
-walked.
+the walk is directed, per-hop tables give each entity's count of
+candidates within h hops, and a bit signature of the entities within h
+hops of it. A cut subtree adds its table entry when that signature shares
+no bit with the pathway's; otherwise it is walked one hop, and each child
+tries the tables again. A shared bit may be a collision, which costs a
+walk but never a wrong count. A last hop is counted from its end entity's
+targets. Undirected, the pathway's previous entity is always one hop from
+its end, so no tables are built there and cut subtrees are walked.
 """
 
 from __future__ import annotations
@@ -211,16 +204,14 @@ so any width gives the same counts."""
 
 
 def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
-                     config: ScoringConfig, max_impact: float,
-                     reach: tuple[float, ...] | None = None) -> float:
+                     config: ScoringConfig, reach: tuple[float, ...]) -> float:
     """Admissible upper bound on the total of any strict extension.
 
     LF can only reach 1; CLC's best case adds a layer transition on every
     remaining hop (monotone in the number of hops added); IP's best case
     appends, at hop j, an entity at ``reach[j - 1]``, the largest normalized
     centrality times severity among the entities 1..j adjacency hops from
-    the pathway's last entity (``R_j``, see :func:`_hop_maxima`), or at
-    ``max_impact``, the graph-wide maximum, when ``reach`` is None. The IP
+    the pathway's last entity (``R_j``, see :func:`_hop_maxima`). The IP
     term is the largest mean over every number of added hops, each sum built
     one hop at a time as the traversal builds a pathway's, so float rounding
     never lifts a real extension's total above the bound, not even at a tie.
@@ -229,7 +220,7 @@ def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
     clc_bound = (transitions + k_max) / (num_entities - 1 + k_max)
     ip_bound = 0.0
     for hop in range(k_max):
-        impact_sum += max_impact if reach is None else reach[hop]
+        impact_sum += reach[hop]
         ip = impact_sum / (num_entities + hop + 1)
         if ip > ip_bound:
             ip_bound = ip
@@ -371,8 +362,8 @@ def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
                 if not sig[u] & bit[v]:
                     a0, a1, a2 = below[0][u], below[1][u], below[2][u]
                 elif h == 2:
-                    a0, a1, a2 = (_count_cut([((v, u), bit[v] | bit[u], c, 0.0, 1)],
-                                             index, config, False, 0.0, ([], []))
+                    a0, a1, a2 = (_count_cut([((v, u), bit[v] | bit[u], c, 1)],
+                                             index, ([], []))
                                   for c in range(3))
                 else:
                     near = -1
@@ -396,47 +387,37 @@ def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
     return sigs, counts
 
 
-def _count_cut(stack: list, index: _GraphIndex, config: ScoringConfig, prune: bool,
-               max_impact: float, tables: tuple[list, list]) -> int:
+def _count_cut(stack: list, index: _GraphIndex, tables: tuple[list, list]) -> int:
     """The candidates among the extensions of the pathways on ``stack``.
 
-    A frame is ``(path, bits, transitions, impact sum, hops)``: the pathway,
-    its signature and layer transitions, and the number of hops its
-    extensions may add. The walk takes one hop at a time. A child with one
-    hop left counts its last hops from its ``targets`` (``cross_targets``
-    after one transition) less those on the pathway. A child with ``h``
-    hops left adds its ``counts[h - 2]`` entry of ``tables`` (see
-    :func:`_cut_tables`) when its ``sigs[h - 2]`` shares no bit with the
-    pathway's signature, and is walked the same way otherwise. A shared bit
-    may be a collision, which costs a walk but never a wrong count. With
-    ``prune`` (the θ rule) a child that could be extended is skipped, its
-    candidates uncounted, when its ``_extension_bound`` with the graph-wide
-    ``max_impact`` is at most θ.
+    A frame is ``(path, bits, transitions, hops)``: the pathway, its
+    signature and layer transitions, and the number of hops its extensions
+    may add. The walk takes one hop at a time. A child with one hop left
+    counts its last hops from its ``targets`` (``cross_targets`` after one
+    transition) less those on the pathway. A child with ``h`` hops left adds
+    its ``counts[h - 2]`` entry of ``tables`` (see :func:`_cut_tables`) when
+    its ``sigs[h - 2]`` shares no bit with the pathway's signature, and is
+    walked the same way otherwise. A shared bit may be a collision, which
+    costs a walk but never a wrong count.
     """
-    adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
+    adjacency, layer = index.adjacency, index.layer
     targets, cross_targets = index.targets, index.cross_targets
-    theta = config.theta_novelty
     sigs, counts = tables
     tiers = len(sigs) + 1  # the most hops left that a table covers
     width = _SIGNATURE_BITS if sigs else 1  # as in _top_candidates
     total = 0
     push, pop = stack.append, stack.pop
     while stack:
-        path, bits, transitions, impact_sum, hops = pop()
+        path, bits, transitions, hops = pop()
         last = path[-1]
         last_layer = layer[last]
-        n = len(path) + 1  # entities in a one-hop extension
-        hops -= 1  # hops left after it
+        hops -= 1  # hops left after a one-hop extension
         for target, _, _ in adjacency[last]:
             if target in path:
                 continue
             new_transitions = transitions + (layer[target] != last_layer)
             total += new_transitions >= 2
             if not hops:
-                continue
-            new_impact = impact_sum + sevcent[target]
-            if prune and _extension_bound(n, new_transitions, new_impact,
-                                          config, max_impact) <= theta:
                 continue
             if hops == 1:
                 if new_transitions:
@@ -448,12 +429,11 @@ def _count_cut(stack: list, index: _GraphIndex, config: ScoringConfig, prune: bo
                 total += counts[hops - 2][min(new_transitions, 2)][target]
             else:
                 push((path + (target,), bits | 1 << target % width,
-                      new_transitions, new_impact, hops))
+                      new_transitions, hops))
     return total
 
 
 def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
-                    prune: bool, max_impact: float,
                     undirected: bool) -> tuple[list, int, int]:
     """Enumerate the candidates from every source and keep the best records.
 
@@ -469,30 +449,26 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
     The bar is the ``top_k``-th best total among the records kept so far,
     −∞ until there are ``top_k`` of them. Every record is a real candidate,
     so the bar never exceeds the final ``top_k``-th total. A candidate below
-    the bar gets no record, and a subtree whose bound is below it is cut:
-    its candidates are counted, not scored, as in :func:`_count_cut`, which
+    the bar or at most θ gets no record, and a subtree whose bound
+    (:func:`_hop_maxima` per hop) is below the bar or at most θ is cut: its
+    candidates are counted, not scored, as in :func:`_count_cut`, which
     walks the cut children of a frame that no last-hop count or table entry
-    covers. Both comparisons are strict, so ties at the ``top_k``-th place
-    still go to the tie-breaks. The bound takes each entity's per-hop maxima
-    (:func:`_hop_maxima`). With ``prune`` it takes the graph-wide maximum at
-    every hop instead, and the θ rule comes first: a subtree whose bound is
-    at most θ is neither scored nor counted. A tighter bound there would
-    skip more, and lower ``candidates_enumerated``.
+    covers. Both comparisons with the bar are strict, so ties at the
+    ``top_k``-th place still go to the tie-breaks.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
     targets, cross_targets = index.targets, index.cross_targets
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
-    # with the θ rule each inner frame must be tested against θ, undirected
-    # a pathway's previous entity is always one hop from its end, and below
-    # d_max 4 a table would cover no count
-    tables = ([], []) if prune or undirected or d_max < 4 else _cut_tables(index, config)
+    # undirected a pathway's previous entity is always one hop from its end,
+    # and below d_max 4 a table would cover no count
+    tables = ([], []) if undirected or d_max < 4 else _cut_tables(index, config)
     sigs, counts = tables
     tiers = len(sigs) + 1  # the most hops left that a table covers
     # without tables no signature is read, and one-bit signatures cost least
     width = _SIGNATURE_BITS if sigs else 1
-    reach = [None] * len(sevcent) if prune else _hop_maxima(index, d_max - 1)
+    reach = _hop_maxima(index, d_max - 1)
 
     records = []
     append_record = records.append
@@ -533,10 +509,8 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
             if not hops:
                 continue
             bound = _extension_bound(n, new_transitions, new_impact, config,
-                                     max_impact, reach[target])
-            if prune and bound <= theta:
-                continue
-            if bound >= bar:
+                                     reach[target])
+            if bound >= bar and bound > theta:
                 push((path + (target,), rels + (rid,), bits | 1 << target % width,
                       new_transitions, new_impact, new_docs))
             elif hops == 1:
@@ -549,9 +523,9 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
                 counted += counts[hops - 2][min(new_transitions, 2)][target]
             else:
                 cut.append((path + (target,), bits | 1 << target % width,
-                            new_transitions, new_impact, hops))
+                            new_transitions, hops))
         if cut:
-            counted += _count_cut(cut, index, config, prune, max_impact, tables)
+            counted += _count_cut(cut, index, tables)
     return heapq.nsmallest(top_k, records), counted + scored, scored
 
 
@@ -562,27 +536,20 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
     """Run the full constrained depth-first discovery; return ranked pathways.
 
     Every candidate is either scored or, in a subtree that cannot reach the
-    top k, counted without scoring (``candidates_scored`` tells them apart).
-    ``prune`` turns on the θ rule, which skips subtrees that cannot beat θ
-    and leaves their candidates uncounted; it defaults to on in edge-max
-    mode and is ignored in pathway-max mode, whose ``candidates_enumerated``
-    counts every candidate. ``workers`` is accepted for compatibility and
-    has no effect: every source runs on the calling thread. The cyclic
-    garbage collector is paused while the index is built and traversed
-    (``graph.collector_paused``).
+    top k or beat θ, counted without scoring (``candidates_scored`` tells
+    them apart). ``workers`` and ``prune`` are accepted for compatibility
+    and have no effect: every source runs on the calling thread, and one
+    cut serves both F_max modes. The cyclic garbage collector is paused
+    while the index is built and traversed (``graph.collector_paused``).
     """
     with collector_paused():
         index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
         if config.fmax_mode == FMAX_PATHWAY:
             f_max = _pathway_f_max(index, config.d_max)
-            prune = False
         else:
             f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode,
                                        index.entity_docs)
-            prune = prune is None or bool(prune)
-        max_impact = max(index.sevcent, default=0.0)
-        top, enumerated, scored = _top_candidates(index, config, f_max, prune,
-                                                  max_impact, undirected)
+        top, enumerated, scored = _top_candidates(index, config, f_max, undirected)
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),

@@ -115,7 +115,6 @@ class PipelineConfig:
     strict: bool = False
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    prune: bool | None = None
     undirected: bool = False
     temporal_by: str = "target"
     retry_limit: int = 3
@@ -313,8 +312,7 @@ def _stage_inputs(stage: str, config: PipelineConfig,
         part = {"alpha": scoring.alpha, "beta": scoring.beta, "gamma": scoring.gamma,
                 "theta_novelty": scoring.theta_novelty, "d_max": scoring.d_max,
                 "top_k": scoring.top_k, "fmax_mode": scoring.fmax_mode,
-                "freq_mode": scoring.freq_mode, "prune": config.prune,
-                "undirected": config.undirected}
+                "freq_mode": scoring.freq_mode, "undirected": config.undirected}
         files = _hash_inputs({
             "graph": str(workdir / "graph.rpkg"),
             "pagerank": str(workdir / "pagerank.json"),
@@ -444,7 +442,7 @@ def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     centrality = CentralityScores.from_dict(
         read_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
-                      prune=config.prune, undirected=config.undirected)
+                      undirected=config.undirected)
     _atomic_write_json(workdir / "pathways.json", result.to_json_dict(graph))
 
 

@@ -92,10 +92,9 @@ class ScoringConfig:
 
     ``fmax_mode`` picks the LF normalizer: ``pathway-max`` takes the maximum
     co-attestation frequency over all discovered candidates, ``edge-max``
-    the maximum single-edge document frequency (a valid upper bound on any
-    pathway frequency, enabling pruning). ``freq_mode`` counts documents
-    attesting every relation of the pathway (``docs``) or every entity
-    (``entities``).
+    the maximum single-edge document frequency (an upper bound on any
+    pathway frequency). ``freq_mode`` counts documents attesting every
+    relation of the pathway (``docs``) or every entity (``entities``).
     """
 
     alpha: float = 0.5

@@ -177,18 +177,15 @@ def test_criterion_4_oracle_equivalence():
                                    top_k=top_k, fmax_mode=fmax_mode)
             centrality = pagerank(graph, config)
             oracle = enumerate_oracle(graph, stats, centrality, config)
-            for prune in (False, True):
-                got = discover(graph, stats, centrality, config, prune=prune)
-                runs += 1
-                label = f"seed={seed} mode={fmax_mode} prune={prune}"
-                assert got.pathways == oracle.pathways, label
-                assert got.f_max_used == oracle.f_max_used, label
-                assert got.sources_processed == oracle.sources_processed
-                if not (prune and fmax_mode == "edge-max"):
-                    assert got.candidates_enumerated == \
-                        oracle.candidates_enumerated, label
+            got = discover(graph, stats, centrality, config)
+            runs += 1
+            label = f"seed={seed} mode={fmax_mode}"
+            assert got.pathways == oracle.pathways, label
+            assert got.f_max_used == oracle.f_max_used, label
+            assert got.sources_processed == oracle.sources_processed
+            assert got.candidates_enumerated == oracle.candidates_enumerated, label
     _report("criterion 4 (oracle equivalence)", started, 120.0,
-            f"100 graphs x 2 fmax modes x prune on/off ({runs} runs)")
+            f"100 graphs x 2 fmax modes, counter included ({runs} runs)")
 
 
 def test_criterion_5_constraint_compliance():

@@ -488,7 +488,7 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("field, value", [
         ("alpha", "x"), ("d_max", 5.0), ("top_k", True), ("fmax_mode", 1),
         ("strict", 1), ("malformed_tolerance", False),
-        ("prune", "yes"), ("aliases", 3), ("scoring", []),
+        ("aliases", 3), ("scoring", []),
         ("alpha", float("nan")), ("pr_tolerance", float("nan")),
         ("pr_tolerance", float("inf")), ("temporal_by", "bogus"),
         ("triples_format", "csv"), ("malformed_tolerance", -1),
@@ -512,20 +512,25 @@ class TestPipelineCommand:
         assert repr(field) in capsys.readouterr().err
         assert not (wd / "graph.rpkg").exists()
 
-    def test_removed_workers_knob_is_rejected(self, tmp_path, corpus_dir, capsys):
-        # the pipeline's "workers" had no effect and is gone, field and flag
+    @pytest.mark.parametrize("knob, value, flag", [
+        ("workers", 1, ["--workers", "2"]), ("prune", True, ["--prune"])],
+        ids=["workers", "prune"])
+    def test_removed_knob_is_rejected(self, tmp_path, corpus_dir, capsys,
+                                      knob, value, flag):
+        # the pipeline's "workers" and "prune" fields are gone, and
+        # "pipeline run" takes no flag for either
         config = {"triples": str(corpus_dir / "triples.jsonl"),
-                  "entities": str(corpus_dir / "entities.jsonl"), "workers": 1}
+                  "entities": str(corpus_dir / "entities.jsonl"), knob: value}
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
         wd = tmp_path / "wd"
         assert main(["pipeline", "run", "--config", str(config_path),
                      "--workdir", str(wd)]) == 1
-        assert "unknown pipeline config field(s): ['workers']" in capsys.readouterr().err
-        del config["workers"]
+        assert f"unknown pipeline config field(s): [{knob!r}]" in capsys.readouterr().err
+        del config[knob]
         config_path.write_text(json.dumps(config))
         assert main(["pipeline", "run", "--config", str(config_path),
-                     "--workdir", str(wd), "--workers", "2"]) == 2
+                     "--workdir", str(wd), *flag]) == 2
         assert not (wd / "graph.rpkg").exists()
 
     @pytest.mark.parametrize("command, flag, value, field", [

@@ -28,14 +28,14 @@ from util import chain_graph, random_graph
 DEFAULTS = ScoringConfig()
 
 
-def results_equal(a, b, check_counter=True):
+def results_equal(a, b):
     if a.pathways != b.pathways:
         return False
     if a.f_max_used != b.f_max_used:
         return False
     if a.sources_processed != b.sources_processed:
         return False
-    if check_counter and a.candidates_enumerated != b.candidates_enumerated:
+    if a.candidates_enumerated != b.candidates_enumerated:
         return False
     return True
 
@@ -202,41 +202,42 @@ class TestPruning:
         config = ScoringConfig(theta_novelty=0.0, fmax_mode="edge-max")
         for n in range(2, 6):
             for t in range(0, n):
-                assert _extension_bound(n, t, 0.0, config, max_impact=0.0) > 0.0
+                assert _extension_bound(n, t, 0.0, config, (0.0,) * 4) > 0.0
 
     def test_theta_one_prunes_when_bound_strict(self):
         config = ScoringConfig(theta_novelty=1.0, fmax_mode="edge-max")
-        assert _extension_bound(3, 0, 0.0, config, max_impact=0.5) <= 1.0
+        assert _extension_bound(3, 0, 0.0, config, (0.5,) * 4) <= 1.0
 
-    def test_theta_one_empty_in_both_prune_settings(self):
+    def test_theta_one_empty(self):
         rng = random.Random(4242)
         graph, stats = random_graph(rng, 40, 100)
         config = ScoringConfig(theta_novelty=1.0, fmax_mode="edge-max")
         cent = pagerank(graph, config)
         oracle = enumerate_oracle(graph, stats, cent, config)
-        assert oracle.pathways == []
-        for prune in (True, False):
-            got = discover(graph, stats, cent, config, prune=prune)
-            assert got.pathways == oracle.pathways == []
+        got = discover(graph, stats, cent, config)
+        assert got.pathways == oracle.pathways == []
+        assert got.candidates_enumerated == oracle.candidates_enumerated
 
-    def test_prune_on_off_identical_results(self):
-        cut_somewhere = False
+    def test_theta_cut_counts_what_it_skips(self):
+        # top_k is at least the candidate count, so the bar stays at −∞ and
+        # every cut is θ's; its subtrees are counted, not scored
+        cut_in = set()
         for seed in range(12):
             rng = random.Random(9000 + seed)
             graph, stats = random_graph(rng, 50, 140)
-            config = ScoringConfig(fmax_mode="edge-max",
-                                   theta_novelty=rng.choice([0.5, 0.7, 0.8]),
-                                   top_k=25)
-            cent = pagerank(graph, config)
-            on = discover(graph, stats, cent, config, prune=True)
-            off = discover(graph, stats, cent, config, prune=False)
-            assert on.pathways == off.pathways
-            assert on.f_max_used == off.f_max_used
-            # pruning may only ever skip candidates, never add
-            assert on.candidates_enumerated <= off.candidates_enumerated
-            cut_somewhere |= on.candidates_enumerated < off.candidates_enumerated
-        # a θ rule that never fires would pass every check above
-        assert cut_somewhere
+            theta = rng.choice([0.5, 0.7, 0.8])
+            for fmax_mode in ("pathway-max", "edge-max"):
+                config = ScoringConfig(fmax_mode=fmax_mode, theta_novelty=theta,
+                                       top_k=10**6)
+                cent = pagerank(graph, config)
+                oracle = enumerate_oracle(graph, stats, cent, config)
+                assert oracle.candidates_enumerated <= config.top_k
+                got = discover(graph, stats, cent, config)
+                assert results_equal(got, oracle), (seed, fmax_mode)
+                if got.candidates_scored < got.candidates_enumerated:
+                    cut_in.add(fmax_mode)
+        # a θ cut that never fires would pass every check above
+        assert cut_in == {"pathway-max", "edge-max"}
 
 
 class TestOracleEquivalence:
@@ -262,12 +263,10 @@ class TestOracleEquivalence:
                                            freq_mode=freq_mode)
                     cent = pagerank(graph, config)
                     oracle = enumerate_oracle(graph, stats, cent, config)
-                    for prune in (False, True):
-                        got = discover(graph, stats, cent, config, prune=prune)
-                        check_counter = not (prune and fmax_mode == "edge-max")
-                        assert results_equal(got, oracle, check_counter), (
-                            f"seed={seed} mode={fmax_mode} top_k={top_k} "
-                            f"freq={freq_mode} prune={prune}")
+                    got = discover(graph, stats, cent, config)
+                    assert results_equal(got, oracle), (
+                        f"seed={seed} mode={fmax_mode} top_k={top_k} "
+                        f"freq={freq_mode}")
 
     def test_entity_freq_mode_matches_oracle(self):
         for seed in range(6):
@@ -303,6 +302,17 @@ class TestOracleEquivalence:
             payloads.add(json.dumps(result.to_json_dict(graph), sort_keys=True))
         assert len(payloads) == 1
 
+    def test_prune_settings_byte_identical_json(self):
+        rng = random.Random(31337)
+        graph, stats = random_graph(rng, 80, 240)
+        config = ScoringConfig(top_k=30, fmax_mode="edge-max")
+        cent = pagerank(graph, config)
+        payloads = set()
+        for prune in (True, False, None):
+            result = discover(graph, stats, cent, config, prune=prune)
+            payloads.add(json.dumps(result.to_json_dict(graph), sort_keys=True))
+        assert len(payloads) == 1
+
     def test_workers_start_no_thread(self, monkeypatch):
         rng = random.Random(31337)
         graph, stats = random_graph(rng, 80, 240)
@@ -329,14 +339,15 @@ class TestTopKCut:
         for fmax_mode in ("pathway-max", "edge-max"):
             config = ScoringConfig(fmax_mode=fmax_mode, top_k=10)
             cent = pagerank(graph, config)
-            cut = discover(graph, stats, cent, config, prune=False)
+            cut = discover(graph, stats, cent, config)
             assert 0 < cut.candidates_scored < cut.candidates_enumerated, fmax_mode
+            # θ = 0 is below α, and top_k the candidate count: nothing is cut
             every = discover(graph, stats, cent,
-                             config.override(top_k=cut.candidates_enumerated),
-                             prune=False)
+                             config.override(top_k=cut.candidates_enumerated,
+                                             theta_novelty=0.0))
             assert every.candidates_scored == every.candidates_enumerated
             assert every.candidates_enumerated == cut.candidates_enumerated
-            assert every.pathways[:10] == cut.pathways
+            assert rank_top_k(every.pathways, config) == cut.pathways
 
     @pytest.mark.parametrize("seed", range(6))
     def test_counter_does_not_depend_on_top_k(self, seed):
@@ -350,17 +361,16 @@ class TestTopKCut:
                     config = ScoringConfig(theta_novelty=theta, d_max=d_max,
                                            fmax_mode=fmax_mode)
                     cent = pagerank(graph, config)
-                    for prune in (False, True):
-                        results = [discover(graph, stats, cent,
-                                            config.override(top_k=top_k),
-                                            prune=prune, undirected=undirected)
-                                   for top_k in (1, 2, 10, 10**6)]
-                        counts = {r.candidates_enumerated for r in results}
-                        assert len(counts) == 1, (
-                            f"undirected={undirected} mode={fmax_mode} "
-                            f"theta={theta} prune={prune}: {counts}")
-                        cut_somewhere |= (results[0].candidates_scored
-                                          < results[0].candidates_enumerated)
+                    results = [discover(graph, stats, cent,
+                                        config.override(top_k=top_k),
+                                        undirected=undirected)
+                               for top_k in (1, 2, 10, 10**6)]
+                    counts = {r.candidates_enumerated for r in results}
+                    assert len(counts) == 1, (
+                        f"undirected={undirected} mode={fmax_mode} "
+                        f"theta={theta}: {counts}")
+                    cut_somewhere |= (results[0].candidates_scored
+                                      < results[0].candidates_enumerated)
         assert cut_somewhere
 
     @pytest.mark.parametrize("seed", range(3))
@@ -380,8 +390,7 @@ class TestTopKCut:
                 cent = pagerank(graph, config)
                 oracle = enumerate_oracle(graph, stats, cent, config,
                                           undirected=undirected)
-                got = discover(graph, stats, cent, config, prune=False,
-                               undirected=undirected)
+                got = discover(graph, stats, cent, config, undirected=undirected)
                 assert got.pathways == oracle.pathways
                 assert got.candidates_enumerated == oracle.candidates_enumerated
                 assert got.candidates_scored < got.candidates_enumerated
@@ -429,7 +438,8 @@ class TestTopKCut:
 
     def test_bound_covers_extensions_summed_hop_by_hop(self):
         # the traversal adds one entity's impact at a time; a bound that
-        # multiplied max_impact by the hop count could round below that sum
+        # multiplied a constant per-hop maximum by the hop count could round
+        # below that sum
         rng = random.Random(11)
         for _ in range(5000):
             max_impact = rng.random()
@@ -438,7 +448,8 @@ class TestTopKCut:
             impact = 0.0
             for _ in range(n):
                 impact += max_impact if rng.random() < 0.5 else rng.random() * max_impact
-            bound = _extension_bound(n, transitions, impact, DEFAULTS, max_impact)
+            bound = _extension_bound(n, transitions, impact, DEFAULTS,
+                                     (max_impact,) * (DEFAULTS.d_max - 1))
             for hops in range(1, DEFAULTS.d_max - n + 2):
                 impact += max_impact
                 m = n + hops
@@ -455,7 +466,7 @@ class TestTopKCut:
             impact = 0.0
             for _ in range(n):
                 impact += rng.random()
-            bound = _extension_bound(n, transitions, impact, DEFAULTS, 1.0, tuple(reach))
+            bound = _extension_bound(n, transitions, impact, DEFAULTS, tuple(reach))
             for hops in range(1, DEFAULTS.d_max - n + 2):
                 top = reach[hops - 1]
                 impact += top if rng.random() < 0.5 else rng.random() * top
@@ -514,8 +525,7 @@ class TestCutTables:
                     cent = pagerank(graph, config)
                     want = enumerate_oracle(graph, stats, cent, config,
                                             undirected=undirected)
-                    got = discover(graph, stats, cent, config, prune=False,
-                                   undirected=undirected)
+                    got = discover(graph, stats, cent, config, undirected=undirected)
                     where = f"undirected={undirected} {fmax_mode} d_max={d_max}"
                     assert got.pathways == want.pathways, where
                     assert got.candidates_enumerated == want.candidates_enumerated, where
@@ -532,7 +542,7 @@ class TestCutTables:
                 config = ScoringConfig(fmax_mode=fmax_mode, d_max=d_max, top_k=1,
                                        theta_novelty=0.0)
                 cent = pagerank(graph, config)
-                assert results_equal(discover(graph, stats, cent, config, prune=False),
+                assert results_equal(discover(graph, stats, cent, config),
                                      enumerate_oracle(graph, stats, cent, config))
 
     def test_table_counts_reach_the_counter(self, monkeypatch):
@@ -551,10 +561,9 @@ class TestCutTables:
         assert got.pathways == want.pathways
         assert got.candidates_enumerated > want.candidates_enumerated
 
-    def test_no_table_under_theta_rule_undirected_or_short(self, monkeypatch):
-        # the θ rule must still see each inner frame, an undirected
-        # predecessor is always within one hop, and one hop left is
-        # counted from targets, so d_max 3 has no level
+    def test_no_table_undirected_or_short(self, monkeypatch):
+        # an undirected predecessor is always within one hop, and one hop
+        # left is counted from targets, so d_max 3 has no level
         graph, stats = cyclic_multigraph(8301)
         tables = discovery._cut_tables
         levels = []
@@ -572,8 +581,8 @@ class TestCutTables:
                 (ScoringConfig(top_k=1, d_max=3), {}),
                 (ScoringConfig(top_k=1), {})):
             discover(graph, stats, pagerank(graph, config), config, **kwargs)
-        # one level for each of 2..d_max - 2 hops left
-        assert levels == [(5, 2, 2)]
+        # one level for each of 2..d_max - 2 hops left, in both F_max modes
+        assert levels == [(5, 2, 2), (5, 2, 2)]
 
 
 class TestMonotonicity:
