@@ -8,31 +8,32 @@ exhaustive re-implementation (recursive DFS over the public graph API, no
 pruning) kept as the correctness reference: on any graph small enough to
 enumerate, ``discover`` must produce the identical result.
 
-F_max is fixed before traversal in both modes, so a candidate is scored as
-it is found. Every source runs on the calling thread; the sources share one
-record buffer, kept to the ``top_k`` best, and its bar, the ``top_k``-th
-best total so far. One cut compares ``_extension_bound``, an admissible
-upper bound on the total of any extension of a pathway, with the bar and
-with θ: a subtree whose bound is below the bar or at most θ can add no
-pathway to the result, so its candidates are counted but none is scored.
-The bound takes the impact of the entity appended at hop j to be at most
-the largest among the entities within j hops of the pathway's end
-(``_hop_maxima``).
+No simple pathway has more than |V| - 1 hops, so every pass runs at
+``d_max`` clamped to that; the result still echoes the caller's ``d_max``.
 
-Neither the cut nor the order of the walk changes the returned pathways.
+F_max is fixed before traversal in both modes, so the walk scores a
+candidate as it finds it. Every source runs on the calling thread; the
+sources share one record buffer, kept to the ``top_k`` best, and its bar,
+the ``top_k``-th best total so far. One cut compares ``_extension_bound``,
+an admissible upper bound on the total of any extension of a pathway, with
+the bar and with θ: a subtree whose bound is below the bar or at most θ can
+add no pathway to the result, so the walk does not enter it. The bound
+takes the impact of the entity appended at hop j to be at most the largest
+among the entities within j hops of the pathway's end (``_hop_maxima``).
+Neither the cut nor the order of the walk changes the returned pathways;
+``candidates_scored`` counts the candidates the walk scored.
+
 ``candidates_enumerated``, a diagnostic counter, counts every candidate,
-whatever ``top_k`` and θ; ``candidates_scored`` counts the ones that were
-scored.
-
-Counting a cut subtree costs less than walking it (``_count_cut``). When
-the walk is directed, per-hop tables give each entity's count of
-candidates within h hops, and a bit signature of the entities within h
-hops of it. A cut subtree adds its table entry when that signature shares
-no bit with the pathway's; otherwise it is walked one hop, and each child
-tries the tables again. A shared bit may be a collision, which costs a
-walk but never a wrong count. A last hop is counted from its end entity's
+whatever ``top_k`` and θ. A pass of its own, after the walk, counts them
+from the sources (``_count_cut``) without scoring any. When the walk is
+directed, per-hop tables give each entity's count of candidates within h
+hops, and a bit signature of the entities within h hops of it
+(``_cut_tables``). A subtree adds its table entry when that signature
+shares no bit with the pathway's; otherwise it is walked one hop, and each
+child tries the tables again. A shared bit may be a collision, which costs
+a walk but never a wrong count. A last hop is counted from its end entity's
 targets. Undirected, the pathway's previous entity is always one hop from
-its end, so no tables are built there and cut subtrees are walked.
+its end, so no tables are built there and every subtree is walked.
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ class _GraphIndex:
     target's. ``entity_docs`` (the entity doc index) and each ``start_docs``
     entry are None in ``docs`` mode. ``targets`` and ``cross_targets`` list
     each entity's adjacency targets, all of them and those on another layer,
-    to count a pathway's last hop; ``_hop_maxima`` derives the per-entity
-    impact bound from ``targets``, and ``_cut_tables`` its count tables.
+    for the counting pass to count a pathway's last hop; ``_hop_maxima``
+    derives the walk's per-entity impact bound from ``targets``, and
+    ``_cut_tables`` the counting pass's tables.
     """
 
     def __init__(self, graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -390,21 +392,24 @@ def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
 def _count_cut(stack: list, index: _GraphIndex, tables: tuple[list, list]) -> int:
     """The candidates among the extensions of the pathways on ``stack``.
 
-    A frame is ``(path, bits, transitions, hops)``: the pathway, its
-    signature and layer transitions, and the number of hops its extensions
-    may add. The walk takes one hop at a time. A child with one hop left
-    counts its last hops from its ``targets`` (``cross_targets`` after one
-    transition) less those on the pathway. A child with ``h`` hops left adds
-    its ``counts[h - 2]`` entry of ``tables`` (see :func:`_cut_tables`) when
-    its ``sigs[h - 2]`` shares no bit with the pathway's signature, and is
-    walked the same way otherwise. A shared bit may be a collision, which
-    costs a walk but never a wrong count.
+    This is the one place candidates are counted: :func:`discover` calls it
+    once, with a frame per source, and :func:`_cut_tables` on the pathways
+    that its h = 2 level cannot take from the level below. A frame is
+    ``(path, bits, transitions, hops)``: the pathway, its signature and
+    layer transitions, and the number of hops its extensions may add. The
+    walk takes one hop at a time. A child with one hop left counts its last
+    hops from its ``targets`` (``cross_targets`` after one transition) less
+    those on the pathway. A child with ``h`` hops left adds its
+    ``counts[h - 2]`` entry of ``tables`` when its ``sigs[h - 2]`` shares no
+    bit with the pathway's signature, and is walked the same way otherwise.
+    A shared bit may be a collision, which costs a walk but never a wrong
+    count.
     """
     adjacency, layer = index.adjacency, index.layer
     targets, cross_targets = index.targets, index.cross_targets
     sigs, counts = tables
     tiers = len(sigs) + 1  # the most hops left that a table covers
-    width = _SIGNATURE_BITS if sigs else 1  # as in _top_candidates
+    width = _SIGNATURE_BITS if sigs else 1  # as in discover
     total = 0
     push, pop = stack.append, stack.pop
     while stack:
@@ -433,58 +438,44 @@ def _count_cut(stack: list, index: _GraphIndex, tables: tuple[list, list]) -> in
     return total
 
 
-def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
-                    undirected: bool) -> tuple[list, int, int]:
-    """Enumerate the candidates from every source and keep the best records.
+def _top_candidates(index: _GraphIndex, config: ScoringConfig,
+                    f_max: int) -> tuple[list, int]:
+    """Score the candidates from every source and keep the best records.
 
-    Returns (the ``top_k`` best records, candidates enumerated, candidates
-    scored). A record is ``(-total, entity count, entity idx tuple, relation
-    idx tuple, f, lf, clc, ip)``; entity and relation indexes follow sorted
-    ids, so records sort in :func:`rank_top_k`'s order.
+    Returns (the ``top_k`` best records, candidates scored). A record is
+    ``(-total, entity count, entity idx tuple, relation idx tuple, f, lf,
+    clc, ip)``; entity and relation indexes follow sorted ids, so records
+    sort in :func:`rank_top_k`'s order.
 
     One depth-first walk over one stack covers all the sources, and each of
-    its frames, ``(path, rels, bits, transitions, impact sum, docs)``, is
-    scored; ``bits`` is the path's signature (:func:`_cut_tables`).
+    its frames, ``(path, rels, transitions, impact sum, docs)``, is scored.
 
     The bar is the ``top_k``-th best total among the records kept so far,
     −∞ until there are ``top_k`` of them. Every record is a real candidate,
     so the bar never exceeds the final ``top_k``-th total. A candidate below
-    the bar or at most θ gets no record, and a subtree whose bound
-    (:func:`_hop_maxima` per hop) is below the bar or at most θ is cut: its
-    candidates are counted, not scored, as in :func:`_count_cut`, which
-    walks the cut children of a frame that no last-hop count or table entry
-    covers. Both comparisons with the bar are strict, so ties at the
+    the bar or at most θ gets no record, and a child whose bound
+    (:func:`_hop_maxima` per hop) is below the bar or at most θ is not
+    pushed. Both comparisons with the bar are strict, so ties at the
     ``top_k``-th place still go to the tie-breaks.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
-    targets, cross_targets = index.targets, index.cross_targets
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
-    # undirected a pathway's previous entity is always one hop from its end,
-    # and below d_max 4 a table would cover no count
-    tables = ([], []) if undirected or d_max < 4 else _cut_tables(index, config)
-    sigs, counts = tables
-    tiers = len(sigs) + 1  # the most hops left that a table covers
-    # without tables no signature is read, and one-bit signatures cost least
-    width = _SIGNATURE_BITS if sigs else 1
     reach = _hop_maxima(index, d_max - 1)
 
     records = []
     append_record = records.append
     bar = -math.inf
-    counted = scored = 0
-    stack = [((source,), (), 1 << source % width, 0, 0.0 + sevcent[source],
-              index.start_docs[source])
+    scored = 0
+    stack = [((source,), (), 0, 0.0 + sevcent[source], index.start_docs[source])
              for source in reversed(index.sources)]  # popped in source order
     push, pop = stack.append, stack.pop
     while stack:
-        path, rels, bits, transitions, impact_sum, docs = pop()
+        path, rels, transitions, impact_sum, docs = pop()
         last = path[-1]
         n = len(path) + 1  # entities in a one-hop extension
-        hops = d_max + 1 - n  # hops left after it
         last_layer = layer[last]
-        cut = []
         for target, rid, step in adjacency[last]:
             if target in path:
                 continue
@@ -506,27 +497,13 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig, f_max: int,
                         records = heapq.nsmallest(top_k, records)
                         append_record = records.append
                         bar = -records[-1][0]
-            if not hops:
-                continue
-            bound = _extension_bound(n, new_transitions, new_impact, config,
-                                     reach[target])
-            if bound >= bar and bound > theta:
-                push((path + (target,), rels + (rid,), bits | 1 << target % width,
-                      new_transitions, new_impact, new_docs))
-            elif hops == 1:
-                if new_transitions:
-                    last_hop = (targets[target] if new_transitions >= 2
-                                else cross_targets[target])
-                    counted += (len(last_hop) - sum(map(last_hop.count, path))
-                                - last_hop.count(target))
-            elif hops <= tiers and not sigs[hops - 2][target] & bits:
-                counted += counts[hops - 2][min(new_transitions, 2)][target]
-            else:
-                cut.append((path + (target,), bits | 1 << target % width,
-                            new_transitions, hops))
-        if cut:
-            counted += _count_cut(cut, index, tables)
-    return heapq.nsmallest(top_k, records), counted + scored, scored
+            if n <= d_max:  # the extension has hops left
+                bound = _extension_bound(n, new_transitions, new_impact, config,
+                                         reach[target])
+                if bound >= bar and bound > theta:
+                    push((path + (target,), rels + (rid,), new_transitions,
+                          new_impact, new_docs))
+    return heapq.nsmallest(top_k, records), scored
 
 
 def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
@@ -535,21 +512,36 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
              undirected: bool = False) -> DiscoveryResult:
     """Run the full constrained depth-first discovery; return ranked pathways.
 
-    Every candidate is either scored or, in a subtree that cannot reach the
-    top k or beat θ, counted without scoring (``candidates_scored`` tells
-    them apart). ``workers`` and ``prune`` are accepted for compatibility
-    and have no effect: every source runs on the calling thread, and one
-    cut serves both F_max modes. The cyclic garbage collector is paused
-    while the index is built and traversed (``graph.collector_paused``).
+    The scoring walk (:func:`_top_candidates`) enters no subtree that cannot
+    reach the top k or beat θ; a counting pass after it (:func:`_count_cut`)
+    counts every candidate, so ``candidates_scored`` is at most
+    ``candidates_enumerated``. Every pass runs at ``config.d_max`` clamped
+    to the |V| - 1 hops of the longest simple pathway; ``config_echo``, and
+    so the result's ``d_max``, keeps the caller's value. ``workers`` and
+    ``prune`` are accepted for compatibility and have no effect: every
+    source runs on the calling thread, and one cut serves both F_max modes.
+    The cyclic garbage collector is paused while the index is built and
+    traversed (``graph.collector_paused``).
     """
+    walk = config.override(d_max=min(config.d_max, max(len(graph.entities) - 1, 1)))
+    d_max = walk.d_max
     with collector_paused():
         index = _GraphIndex(graph, corpus_stats, centrality, config.freq_mode, undirected)
         if config.fmax_mode == FMAX_PATHWAY:
-            f_max = _pathway_f_max(index, config.d_max)
+            f_max = _pathway_f_max(index, d_max)
         else:
             f_max = edge_max_frequency(graph, corpus_stats, config.freq_mode,
                                        index.entity_docs)
-        top, enumerated, scored = _top_candidates(index, config, f_max, undirected)
+        top, scored = _top_candidates(index, walk, f_max)
+        # undirected a pathway's previous entity is always one hop from its
+        # end, and below d_max 4 a table would cover no count
+        tabled = not undirected and d_max >= 4
+        # without tables no signature is read, and one-bit signatures cost least
+        width = _SIGNATURE_BITS if tabled else 1
+        # the tables are freed when the count returns, before the ranking
+        enumerated = _count_cut([((source,), 1 << source % width, 0, d_max)
+                                 for source in index.sources], index,
+                                _cut_tables(index, walk) if tabled else ([], []))
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),

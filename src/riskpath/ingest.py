@@ -447,10 +447,16 @@ def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
                 raise ValueError("field 'aliases' must be an array of strings")
             for text in (name, *aliases):
                 text.encode("utf-8")  # a lone surrogate escape raises UnicodeEncodeError
+            severity = record["severity"]
+            # a JSON number; the comparison is false for a NaN literal
+            if (isinstance(severity, bool) or not isinstance(severity, (int, float))
+                    or not 0 <= severity <= 1):
+                raise ValueError(
+                    f"field 'severity' must be a number in [0, 1], got {severity!r}")
             entries.append(EntityMeta(
                 name=name.strip(),
                 layer=Layer.from_string(record["layer"]),
-                severity=float(record["severity"]),
+                severity=float(severity),
                 aliases=tuple(aliases),
             ))
         except (KeyError, ValueError, TypeError, RecursionError) as exc:

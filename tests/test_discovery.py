@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import threading
 
@@ -350,7 +351,7 @@ class TestTopKCut:
             assert rank_top_k(every.pathways, config) == cut.pathways
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_counter_does_not_depend_on_top_k(self, seed):
+    def test_counter_does_not_depend_on_top_k(self, seed, monkeypatch):
         rng = random.Random(5100 + seed)
         graph, stats = random_graph(rng, rng.randint(20, 40), rng.randint(50, 90))
         d_max = rng.choice([3, 4])
@@ -372,6 +373,27 @@ class TestTopKCut:
                     cut_somewhere |= (results[0].candidates_scored
                                       < results[0].candidates_enumerated)
         assert cut_somewhere
+        # nor on the walk: a bound of −∞ cuts every child of a source, and
+        # one of +∞ cuts nothing, so every candidate is scored
+        for d_max in (3, 4, 5):
+            for undirected in (False, True):
+                for fmax_mode in ("pathway-max", "edge-max"):
+                    config = ScoringConfig(d_max=d_max, fmax_mode=fmax_mode)
+                    cent = pagerank(graph, config)
+                    want = enumerate_oracle(graph, stats, cent, config,
+                                            undirected=undirected)
+                    for bound in (-math.inf, math.inf):
+                        monkeypatch.setattr(discovery, "_extension_bound",
+                                            lambda *args, bound=bound: bound)
+                        got = discover(graph, stats, cent, config, undirected=undirected)
+                        where = f"undirected={undirected} {fmax_mode} d_max={d_max}"
+                        assert got.candidates_enumerated == want.candidates_enumerated, where
+                        if bound > 0:
+                            assert got.pathways == want.pathways, where
+                            assert got.candidates_scored == want.candidates_enumerated, where
+                        else:
+                            # one hop crosses layers at most once: nothing is scored
+                            assert got.candidates_scored == 0, where
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counter_with_self_loops_matches_oracle(self, seed):
@@ -583,6 +605,40 @@ class TestCutTables:
             discover(graph, stats, pagerank(graph, config), config, **kwargs)
         # one level for each of 2..d_max - 2 hops left, in both F_max modes
         assert levels == [(5, 2, 2), (5, 2, 2)]
+
+
+class TestDepthClamp:
+    """No simple pathway has more than |V| - 1 hops, so no pass goes deeper."""
+
+    def test_d_max_beyond_the_graph_runs_at_its_depth(self, monkeypatch):
+        graph, stats = random_graph(random.Random(1), 12, 20)
+        hop_maxima = discovery._hop_maxima
+        hops_asked = []
+
+        def recorded(index, hops):
+            hops_asked.append(hops)
+            return hop_maxima(index, hops)
+
+        monkeypatch.setattr(discovery, "_hop_maxima", recorded)
+        for undirected in (False, True):
+            for fmax_mode in ("pathway-max", "edge-max"):
+                config = ScoringConfig(fmax_mode=fmax_mode, theta_novelty=0.0, top_k=50)
+                cent = pagerank(graph, config)
+                payloads = {}
+                for d_max in (11, 10**6):
+                    payload = discover(graph, stats, cent, config.override(d_max=d_max),
+                                       undirected=undirected).to_json_dict(graph)
+                    # the result echoes the caller's d_max
+                    assert payload["metadata"].pop("d_max") == d_max
+                    payloads[d_max] = payload
+                assert payloads[10**6] == payloads[11]
+                assert payloads[11]["pathways"], (undirected, fmax_mode)
+                oracle = enumerate_oracle(graph, stats, cent, config.override(d_max=10**6),
+                                          undirected=undirected)
+                assert (payloads[10**6]["metadata"]["candidates_enumerated"]
+                        == oracle.candidates_enumerated)
+        # R_1..R_(d_max - 1) for d_max clamped to |V| - 1
+        assert set(hops_asked) == {len(graph.entities) - 2}
 
 
 class TestMonotonicity:

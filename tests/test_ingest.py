@@ -429,8 +429,25 @@ class TestEntityMetaParsing:
                 '{"name": "x", "layer": "social", "severity": 0.5}\n' + line + "\n"))
 
     def test_severity_out_of_range(self):
-        with pytest.raises((IngestError, ConfigError)):
+        with pytest.raises(IngestError, match="line 1"):
             parse_entity_meta(jsonl({"name": "x", "layer": "social", "severity": 2}))
+
+    @pytest.mark.parametrize("severity", [
+        '"0.5"', "true", "false", "null", "NaN", "Infinity", "-0.1", "1.5", "[0.5]",
+    ])
+    def test_severity_must_be_a_number_in_range(self, severity):
+        # the Entity constructor rejects the same values; here they name the line
+        line = '{"name": "y", "layer": "social", "severity": %s}' % severity
+        with pytest.raises(IngestError, match="line 2: field 'severity' must be"):
+            parse_entity_meta(io.StringIO(
+                '{"name": "x", "layer": "social", "severity": 0.5}\n' + line + "\n"))
+
+    @pytest.mark.parametrize("severity", ["0", "1", "0.25", "1e-3"])
+    def test_severity_bounds_and_ints_accepted(self, severity):
+        line = '{"name": "x", "layer": "social", "severity": %s}\n' % severity
+        meta = parse_entity_meta(io.StringIO(line))
+        assert meta[0].severity == float(severity)
+        assert type(meta[0].severity) is float
 
     def test_duplicate_meta_name_rejected_at_map_build(self):
         with pytest.raises(ConfigError, match="duplicate"):
