@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from dataclasses import dataclass, field, asdict
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import GenerationError
@@ -37,6 +40,24 @@ MAX_CHAIN_ENTITIES = 6
 
 _LAYER_PREFIX = {Layer.PHYSICAL: "phy", Layer.SOCIAL: "soc", Layer.ECONOMIC: "eco"}
 
+# triples.jsonl lines are joined and written this many at a time. The peak
+# RSS of writing the benchmark's 5k-doc corpus grows with it: against a
+# line-at-a-time writer, about +3% at 4,096, +0.4% at 1,024, none at 256
+_WRITE_CHUNK = 256
+
+
+def _as_tuple(value, what: str) -> tuple:
+    if isinstance(value, tuple):
+        return value
+    try:
+        return tuple(value)
+    except TypeError:
+        raise GenerationError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class PlantedChain:
@@ -46,8 +67,13 @@ class PlantedChain:
     attestations: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.layers, tuple):
-            object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "layers", _as_tuple(self.layers, "planted chain layers"))
+        if not all(isinstance(layer, Layer) for layer in self.layers):
+            raise GenerationError(
+                f"planted chain layers must be Layer values, got {self.layers!r}")
+        if not _is_int(self.attestations):
+            raise GenerationError(
+                f"attestation count must be an int, got {self.attestations!r}")
         if len(self.layers) < 2:
             raise GenerationError("planted chain needs at least 2 entities")
         if len(self.layers) > MAX_CHAIN_ENTITIES:
@@ -92,12 +118,16 @@ class GenSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if not isinstance(self.relations_per_doc, tuple):
-            object.__setattr__(self, "relations_per_doc",
-                               tuple(self.relations_per_doc))
-        if not isinstance(self.planted_chains, tuple):
-            object.__setattr__(self, "planted_chains",
-                               tuple(self.planted_chains))
+        object.__setattr__(self, "relations_per_doc",
+                           _as_tuple(self.relations_per_doc, "relations_per_doc"))
+        object.__setattr__(self, "planted_chains",
+                           _as_tuple(self.planted_chains, "planted_chains"))
+        if len(self.relations_per_doc) != 2 or not all(map(_is_int, self.relations_per_doc)):
+            raise GenerationError(
+                f"relations_per_doc must be a pair of ints, got {self.relations_per_doc!r}")
+        if not all(isinstance(chain, PlantedChain) for chain in self.planted_chains):
+            raise GenerationError(
+                f"planted_chains must hold PlantedChain values, got {self.planted_chains!r}")
         lo, hi = self.relations_per_doc
         if not (1 <= lo <= hi <= 100):
             raise GenerationError(
@@ -132,6 +162,12 @@ class GenSpec:
 
 @dataclass
 class GenResult:
+    """A generated corpus. Each ``triples`` row is a dict of the four string
+    fields ``s``, ``p``, ``o`` and ``doc``, as ``generate`` makes it;
+    ``write_corpus`` formats triple lines from exactly those fields.
+    ``malformed_lines`` holds (position, line) pairs: the line goes before
+    triple ``position``, or after the last triple at ``len(triples)``."""
+
     triples: list[dict]
     entities: list[dict]
     manifest: dict
@@ -328,11 +364,14 @@ def generate(spec: GenSpec) -> GenResult:
     for w in weights:
         running += w
         cum_weights.append(running)
+    # Random.choices(pool, cum_weights=cum_weights, k=1) inlined: the same
+    # single random() per draw, so the stream and every later draw match
+    total = cum_weights[-1] + 0.0 if cum_weights else 0.0
+    last = len(pool) - 1
+    random_ = rng.random
 
     triples: list[dict] = []
     emitted: set[tuple[str, str, str]] = set()
-    referenced: set[str] = set()
-    doc_sizes = []
     for doc_index in range(spec.n_docs):
         doc = doc_ids[doc_index]
         chain = chain_of_doc.get(doc_index)
@@ -345,17 +384,15 @@ def generate(spec: GenSpec) -> GenResult:
             guard += 1
             if guard > 200 * n_rel:
                 raise GenerationError("document fill stalled; pool too small")
-            edge = rng.choices(pool, cum_weights=cum_weights, k=1)[0]
+            edge = pool[bisect(cum_weights, random_() * total, 0, last)]
             if edge in in_doc:
                 continue
             doc_edges.append(edge)
             in_doc.add(edge)
-        doc_sizes.append(len(doc_edges))
+        emitted.update(doc_edges)
         for s, p, o in doc_edges:
             triples.append({"s": s, "p": p, "o": o, "doc": doc})
-            emitted.add((s, p, o))
-            referenced.add(s)
-            referenced.add(o)
+    referenced = {name for s, _, o in emitted for name in (s, o)}
 
     entities_rows = [
         {"name": name, "layer": layer_of[name].value,
@@ -401,8 +438,31 @@ def generate(spec: GenSpec) -> GenResult:
                      manifest=manifest, malformed_lines=malformed)
 
 
+def _row_lines(rows):
+    enc = encode_basestring_ascii
+    return (f'{{"doc": {enc(r["doc"])}, "o": {enc(r["o"])}, '
+            f'"p": {enc(r["p"])}, "s": {enc(r["s"])}}}\n' for r in rows)
+
+
+def _triple_lines(result: GenResult):
+    """triples.jsonl's lines: each row as ``json.dumps(row, sort_keys=True)``
+    formats it, with the malformed lines at their positions."""
+    rows = iter(result.triples)  # sliced as it is consumed: no copy of the list
+    inject = dict(result.malformed_lines)
+    start = 0
+    for pos in sorted(pos for pos in inject if 0 <= pos <= len(result.triples)):
+        yield from _row_lines(islice(rows, pos - start))
+        yield inject[pos] + "\n"
+        start = pos
+    yield from _row_lines(rows)
+
+
 def write_corpus(result: GenResult, out_dir) -> dict[str, Path]:
-    """Write triples.jsonl, entities.jsonl, manifest.json into a directory."""
+    """Write triples.jsonl, entities.jsonl, manifest.json into a directory.
+
+    Each triple line has the bytes ``json.dumps(row, sort_keys=True)`` gives
+    for ``GenResult``'s string rows, built from a fixed template; the lines
+    are written in joined chunks of at most ``_WRITE_CHUNK``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -410,14 +470,10 @@ def write_corpus(result: GenResult, out_dir) -> dict[str, Path]:
         "entities": out / "entities.jsonl",
         "manifest": out / "manifest.json",
     }
-    inject = dict(result.malformed_lines)
+    lines = _triple_lines(result)
     with open(paths["triples"], "w", encoding="utf-8") as fh:
-        for i, row in enumerate(result.triples):
-            if i in inject:
-                fh.write(inject[i] + "\n")
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-        if len(result.triples) in inject:
-            fh.write(inject[len(result.triples)] + "\n")
+        while chunk := list(islice(lines, _WRITE_CHUNK)):
+            fh.write("".join(chunk))
     with open(paths["entities"], "w", encoding="utf-8") as fh:
         for row in result.entities:
             fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -19,7 +20,7 @@ from riskpath import (
     parse_triples,
     pathway_frequency,
 )
-from riskpath.syngen import write_corpus
+from riskpath.syngen import GenResult, write_corpus
 import riskpath.syngen as syngen_mod
 
 PSE_CHAIN = PlantedChain((Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC,
@@ -92,11 +93,38 @@ class TestGenSpecValidation:
         {"planted_severity": 1.5},
         {"planted_severity": -0.1},
         {"background_noise": -0.01},
+        {"relations_per_doc": (15,)},
+        {"relations_per_doc": (1.5, 15)},
+        {"relations_per_doc": (True, 15)},
+        {"relations_per_doc": 5},
+        {"planted_chains": ("P,S",)},
+        {"planted_chains": 3},
     ], ids=["nan-skew", "inf-noise", "bool-docs", "float-seed", "negative-skew",
-            "severity-above-one", "negative-severity", "negative-noise"])
+            "severity-above-one", "negative-severity", "negative-noise",
+            "one-relations-bound", "float-relations-bound", "bool-relations-bound",
+            "int-relations", "string-chain", "int-chains"])
     def test_field_invariants(self, overrides):
         with pytest.raises(RiskPathError):
             small_spec(**overrides)
+
+    def test_lists_are_converted(self):
+        spec = small_spec(relations_per_doc=[4, 5], planted_chains=[PSE_CHAIN])
+        assert spec.relations_per_doc == (4, 5)
+        assert spec.planted_chains == (PSE_CHAIN,)
+        assert PlantedChain([Layer.PHYSICAL, Layer.SOCIAL]).layers == \
+            (Layer.PHYSICAL, Layer.SOCIAL)
+
+    @pytest.mark.parametrize("layers, attestations", [
+        (("P", "S"), 1),
+        (("physical", "social"), 1),
+        ((Layer.PHYSICAL, Layer.SOCIAL), 1.5),
+        ((Layer.PHYSICAL, Layer.SOCIAL), True),
+        (3, 1),
+    ], ids=["initials", "layer-names", "float-attestations", "bool-attestations",
+            "int-layers"])
+    def test_planted_chain_field_types(self, layers, attestations):
+        with pytest.raises(GenerationError):
+            PlantedChain(layers, attestations=attestations)
 
     def test_skew_too_large_for_pool(self):
         with pytest.raises(GenerationError, match="popularity_skew"):
@@ -235,3 +263,37 @@ class TestCorpusFiles:
             triples, errors = parse_triples(fh, malformed_tolerance=0.2)
         assert len(errors) == len(result.malformed_lines)
         assert len(triples) == len(result.triples)
+
+    @pytest.mark.parametrize("spec, digests", [
+        (GenSpec(n_docs=5000, seed=7, planted_chains=(PlantedChain.parse("P,S,E,S,E:1"),)),
+         {"triples": "02cb30e4afe4f161f6d6a4c60fb8b97b57267852b14bd2554acbd07f5f764b75",
+          "entities": "554aa61250d223ce4a36aec9cb5af0b17270103c7fe0c6fc539f3ba4ea22df2c",
+          "manifest": "27f5137d844331191913924e4ef9f7fa6d9e6e339ba2e61838347c9ba5e57afc"}),
+        # injects malformed lines at 44, 73 and 74
+        (small_spec(malformed_rate=0.05),
+         {"triples": "1b5883fe5a3391985e28a48ffe19f6760e3e7ba74a40dbfef29a3986b2caa6ec",
+          "entities": "b683b1627bfb3859ea6de50b307b4134b3989227a84f4c8e9fa5255f142cd1d3",
+          "manifest": "8810e726850315efeebee1cba403e58e596535f9697fa5f53cf212168fa8e58a"}),
+    ], ids=["benchmark-spec", "malformed"])
+    def test_corpus_bytes_are_pinned(self, tmp_path, spec, digests):
+        paths = write_corpus(generate(spec), tmp_path)
+        assert {key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                for key in digests} == digests
+
+    def test_triple_lines_match_json_dumps(self, tmp_path):
+        texts = ["caf\u00e9-\u03b1\u6f22", 'say "hi"', "back\\slash", "tab\there",
+                 "line\u2028sep", "lone\ud800", "plain"]
+        triples = [{"s": texts[i % 7], "p": texts[(i + 1) % 7], "o": texts[(i + 2) % 7],
+                    "doc": texts[(i + 3) % 7]} for i in range(7)]
+        malformed = [(0, '{"s": "broken-0"'), (3, "not json"), (4, "\u00fcber {"),
+                     (len(triples), '{"p": "missing fields"')]
+        write_corpus(GenResult(triples=triples, entities=[], manifest={},
+                               malformed_lines=malformed), tmp_path)
+        lines = [json.dumps(row, sort_keys=True) + "\n" for row in triples]
+        for pos, text in reversed(malformed):
+            lines.insert(pos, text + "\n")
+        assert (tmp_path / "triples.jsonl").read_bytes() == "".join(lines).encode("utf-8")
+
+    def test_no_triples_writes_an_empty_file(self, tmp_path):
+        paths = write_corpus(GenResult(triples=[], entities=[], manifest={}), tmp_path)
+        assert paths["triples"].read_bytes() == b""
