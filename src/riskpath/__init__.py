@@ -59,7 +59,6 @@ from .errors import (
     RiskPathError,
     ScoringError,
     SnapshotError,
-    TransientStageError,
     UnknownEntityError,
 )
 

@@ -118,7 +118,8 @@ def cmd_ingest(args) -> int:
         triples_format=args.triples_format, aliases=args.aliases,
         layer_lexicon=args.layer_lexicon, strict=args.strict,
         malformed_tolerance=args.malformed_tolerance)
-    summary = {"workdir": str(workdir), **ingest(config, workdir)}
+    _, _, counts = ingest(config, workdir)
+    summary = {"workdir": str(workdir), **counts}
     if args.format == "json":
         _emit_json(summary)
     else:
@@ -228,7 +229,7 @@ def cmd_export(args) -> int:
 
     relations = list(graph.relations.values())
     if args.pathways:
-        rows = read_json_object(args.pathways, "pathways file").get("pathways", [])
+        rows = read_json_object(args.pathways, "pathways file").get("pathways")
         if not isinstance(rows, list):
             raise RiskPathError(f"{args.pathways}: 'pathways' must be a list")
         name_to_id = {e.canonical_name: eid for eid, e in graph.entities.items()}
@@ -237,9 +238,11 @@ def cmd_export(args) -> int:
         seen = set()
         for row in rows:
             if not (isinstance(row, dict) and _is_str_list(row.get("entities"))
-                    and _is_str_list(row.get("predicates"))):
+                    and _is_str_list(row.get("predicates"))
+                    and len(row["predicates"]) == len(row["entities"]) - 1 >= 1):
                 raise RiskPathError(f"{args.pathways}: each pathway needs 'entities' "
-                                    f"and 'predicates' lists of strings")
+                                    f"and 'predicates' lists of strings, at least two "
+                                    f"entities and one predicate per hop")
             entities, predicates = row["entities"], row["predicates"]
             for a, pred, b in zip(entities, predicates, entities[1:]):
                 try:

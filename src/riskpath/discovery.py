@@ -53,6 +53,7 @@ from .scoring import (
     CentralityScores,
     ScoreBreakdown,
     ScoringConfig,
+    combine,
     cross_layer_connectivity,
     cross_layer_count,
     entity_doc_index,
@@ -458,7 +459,6 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig,
     pushed. Both comparisons with the bar are strict, so ties at the
     ``top_k``-th place still go to the tie-breaks.
     """
-    alpha, beta, gamma = config.alpha, config.beta, config.gamma
     theta, d_max, top_k = config.theta_novelty, config.d_max, config.top_k
     adjacency, layer, sevcent = index.adjacency, index.layer, index.sevcent
     trim_at = 4 * top_k  # trimming at a multiple of top_k: O(log top_k) per record
@@ -487,9 +487,8 @@ def _top_candidates(index: _GraphIndex, config: ScoringConfig,
                 f = len(new_docs)
                 clc = new_transitions / (n - 1)
                 ip = new_impact / n
-                # expression kept identical to literature_frequency/combine
-                lf = 1.0 if f_max == 0 else 1.0 - f / f_max
-                total = alpha * lf + beta * clc + gamma * ip
+                lf = literature_frequency(f, f_max)
+                total = combine(lf, clc, ip, config)
                 if total >= bar and total > theta:
                     append_record((-total, n, path + (target,), rels + (rid,),
                                    f, lf, clc, ip))

@@ -43,7 +43,3 @@ class GenerationError(RiskPathError):
 
 class PipelineError(RiskPathError):
     """Pipeline orchestration failure."""
-
-
-class TransientStageError(PipelineError):
-    """Stage failure classified as transient; eligible for retry."""

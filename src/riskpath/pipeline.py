@@ -24,15 +24,15 @@ in place instead, under the lock: a torn manifest either does not decode,
 and the run starts fresh, or each of its records is checked against the
 stage's input fingerprint and output hashes before any output is reused.
 
-A run holds one graph in memory: the one ingest built, keyed by the sha256
-of the snapshot bytes it wrote, or else the first one a stage loaded, keyed
-by the sha256 that stage's input fingerprint read for ``graph.rpkg``. A
-later stage uses it only when its own input fingerprint hashes
-``graph.rpkg`` to that key, and loads the file otherwise. So a fresh run
-never loads ``graph.rpkg``, a resume or a rerun loads it at most once, and
-a changed snapshot is never reused. Ingest's manifest record takes that key
-as the output hash of ``graph.rpkg``, since it hashed the same bytes; the
-later stages still hash the file for their input fingerprints.
+``run`` holds one graph and passes it to each stage after ingest: the one
+ingest built, keyed by the sha256 of the snapshot bytes it wrote, or else
+the last one ``run`` loaded, keyed by the sha256 that the loading stage's
+input fingerprint read for ``graph.rpkg``. ``run`` loads the file only for
+a stage whose input fingerprint hashes ``graph.rpkg`` to another value. So
+a fresh run never loads ``graph.rpkg``, a resume or a rerun loads it at most
+once, and a changed snapshot is never reused. Ingest's manifest record takes
+that key as the output hash of ``graph.rpkg``, since it hashed the same
+bytes; the later stages still hash the file for their input fingerprints.
 
 Transient failures (I/O) are retried with exponential backoff up to a retry
 limit; validation/config failures fail fast.
@@ -57,14 +57,12 @@ import json
 import logging
 import os
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .analysis import TEMPORAL_BY, layer_distribution, temporal_distribution
 from .discovery import discover, format_pathways
-from .errors import (ConfigError, IngestError, PipelineError, RiskPathError,
-                     TransientStageError)
+from .errors import ConfigError, IngestError, PipelineError
 from .graph import (SNAPSHOT_VERSION, KnowledgeGraph, build_graph, collector_paused,
                     load_snapshot, save_snapshot)
 from .ingest import (
@@ -201,13 +199,7 @@ class PipelineSummary:
 
 def classify_error(error: BaseException) -> str:
     """Minimal taxonomy: I/O problems are transient, everything else permanent."""
-    if isinstance(error, TransientStageError):
-        return "transient"
-    if isinstance(error, RiskPathError):
-        return "permanent"
-    if isinstance(error, OSError):
-        return "transient"
-    return "permanent"
+    return "transient" if isinstance(error, OSError) else "permanent"
 
 
 def retry_policy(error: BaseException, attempt: int, retry_limit: int = 3,
@@ -328,51 +320,6 @@ def _stage_inputs(stage: str, config: PipelineConfig,
     return _fingerprint(stage, part, files), files
 
 
-# --- the graph a run holds --------------------------------------------------
-
-@dataclass
-class _RunGraph:
-    """The one graph a pipeline run holds between its stages.
-
-    ``key`` is the sha256 of the ``graph.rpkg`` bytes that ``graph`` was
-    written as or loaded from. ``stage_key`` is the sha256 that the running
-    stage's input fingerprint read for ``graph.rpkg``, None for a stage
-    that reads no graph.
-    """
-
-    key: str | None = None
-    graph: KnowledgeGraph | None = None
-    stage_key: str | None = None
-
-
-# set by ``run`` for its duration, so that stage bodies keep their
-# (config, workdir) signature
-_run_graph: ContextVar[_RunGraph | None] = ContextVar("_run_graph", default=None)
-
-
-@contextlib.contextmanager
-def _holding_graph():
-    held = _RunGraph()
-    token = _run_graph.set(held)
-    try:
-        yield held
-    finally:
-        _run_graph.reset(token)
-
-
-def _read_graph(workdir: Path) -> KnowledgeGraph:
-    """The graph in ``workdir/graph.rpkg``. Inside ``run``, a stage whose
-    input fingerprint hashed the file to the held graph's key gets that
-    graph; otherwise the file is loaded, and the run holds it under the
-    hash the fingerprint read."""
-    held = _run_graph.get()
-    if held is None or held.stage_key is None:
-        return load_snapshot(workdir / "graph.rpkg")
-    if held.key != held.stage_key:
-        held.graph, held.key = load_snapshot(workdir / "graph.rpkg"), held.stage_key
-    return held.graph
-
-
 # --- stage bodies -------------------------------------------------------------
 
 def _string_map(path, what: str) -> dict[str, str]:
@@ -391,15 +338,15 @@ def _parse_text_file(path, parse, *args):
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def ingest(config: PipelineConfig, workdir: Path) -> dict:
+def ingest(config: PipelineConfig, workdir: Path) -> tuple[KnowledgeGraph, str, dict]:
     """Parse, canonicalize and aggregate the input files into ``graph.rpkg``.
 
     Also writes the ``rejections.jsonl`` and ``parse_errors.jsonl`` reports;
     every file is written atomically, and one that already holds the new
-    bytes is left in place. Returns counts for a summary line. Inside
-    ``run``, the run holds the graph built here under the sha256 of the
-    snapshot bytes written, so later stages need not load it.
-    The cyclic garbage collector is paused for the call
+    bytes is left in place. Returns the graph, the sha256 of the snapshot
+    bytes written for it, and counts for a summary line; ``run`` passes
+    that graph to the later stages while ``graph.rpkg`` hashes to that
+    digest. The cyclic garbage collector is paused for the call
     (``graph.collector_paused``).
     """
     with collector_paused():
@@ -420,25 +367,22 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
 
         tmp = workdir / "graph.rpkg.tmp"
         save_snapshot(graph, tmp)
-        held = _run_graph.get()
-        if held is not None:
-            held.graph, held.key = graph, _sha256_file(tmp)
+        digest = _sha256_file(tmp)
         _replace_unless_same(tmp, workdir / "graph.rpkg")
         _atomic_write_jsonl(workdir / "rejections.jsonl", result.rejections)
         _atomic_write_jsonl(workdir / "parse_errors.jsonl", parse_errors)
-    return {"entities": len(graph.entities), "relations": len(graph.relations),
-            "doc_count": graph.doc_count, "parse_errors": len(parse_errors),
-            "rejections": len(result.rejections), "unregistered": len(unregistered)}
+    return graph, digest, {
+        "entities": len(graph.entities), "relations": len(graph.relations),
+        "doc_count": graph.doc_count, "parse_errors": len(parse_errors),
+        "rejections": len(result.rejections), "unregistered": len(unregistered)}
 
 
-def _stage_pagerank(config: PipelineConfig, workdir: Path) -> None:
-    graph = _read_graph(workdir)
+def _stage_pagerank(config: PipelineConfig, workdir: Path, graph: KnowledgeGraph) -> None:
     centrality = pagerank(graph, config.scoring)
     _atomic_write_json(workdir / "pagerank.json", centrality.to_dict())
 
 
-def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
-    graph = _read_graph(workdir)
+def _stage_discover(config: PipelineConfig, workdir: Path, graph: KnowledgeGraph) -> None:
     centrality = CentralityScores.from_dict(
         read_json_object(workdir / "pagerank.json", "pagerank scores"))
     result = discover(graph, CorpusStats.from_graph(graph), centrality, config.scoring,
@@ -446,8 +390,7 @@ def _stage_discover(config: PipelineConfig, workdir: Path) -> None:
     _atomic_write_json(workdir / "pathways.json", result.to_json_dict(graph))
 
 
-def _stage_report(config: PipelineConfig, workdir: Path) -> None:
-    graph = _read_graph(workdir)
+def _stage_report(config: PipelineConfig, workdir: Path, graph: KnowledgeGraph) -> None:
     pathways = read_json_object(workdir / "pathways.json", "pathways file")
     _atomic_write_json(workdir / "report_temporal.json",
                        temporal_distribution(graph, by=config.temporal_by).to_dict())
@@ -578,12 +521,15 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
     """Execute all stages in dependency order, skipping up-to-date ones."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    with _pipeline_lock(workdir), _holding_graph() as held:
+    with _pipeline_lock(workdir):
         _atomic_write_json(workdir / CONFIG_NAME, config.to_dict())
         records = _load_manifest(workdir)
         executed: list[str] = []
         skipped: list[str] = []
         upstream_ran = False
+        # the graph passed to each stage after ingest, and the sha256 of the
+        # graph.rpkg bytes it was written as or loaded from
+        graph, graph_key = None, None
 
         for stage in STAGE_ORDER:
             fingerprint, input_hashes = _stage_inputs(stage, config, workdir)
@@ -603,13 +549,18 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
 
             record = StageRecord(stage_name=stage, input_fingerprint=fingerprint)
             records[stage] = record
-            held.stage_key = input_hashes.get("graph")
             attempt = 0
             while True:
                 attempt += 1
                 record.attempts = attempt
                 try:
-                    STAGES[stage](config, workdir)
+                    if stage == "ingest":
+                        graph, graph_key, _ = STAGES[stage](config, workdir)
+                    else:
+                        if input_hashes["graph"] != graph_key:
+                            graph, graph_key = (load_snapshot(workdir / "graph.rpkg"),
+                                                input_hashes["graph"])
+                        STAGES[stage](config, workdir, graph)
                     break
                 except Exception as exc:  # noqa: BLE001 - classified below
                     should_retry, delay = retry_policy(
@@ -626,12 +577,11 @@ def run(config: PipelineConfig, workdir) -> PipelineSummary:
 
             _maybe_crash("before_record", stage)
             record.output_paths = list(STAGE_OUTPUTS[stage])
-            # ingest held its graph under the sha256 of the bytes it left in
-            # graph.rpkg; later stages hash the file for their own inputs
-            known = {"graph.rpkg": held.key} if stage == "ingest" and held.key else {}
+            # ingest hashed the bytes it left in graph.rpkg as the graph's
+            # key; later stages hash the file for their own inputs
             record.output_fingerprints = [
-                known.get(name) or _sha256_file(workdir / name)
-                for name in record.output_paths]
+                graph_key if stage == "ingest" and name == "graph.rpkg"
+                else _sha256_file(workdir / name) for name in record.output_paths]
             record.status = "done"
             _save_manifest(workdir, records)
             _maybe_crash("after_record", stage)

@@ -389,9 +389,20 @@ class TestExportCommand:
         '{"pathways": [{"predicates": []}]}',
         '{"pathways": [{"entities": [], "predicates": "causes"}]}',
         '{"pathways": [{"entities": [1, 2], "predicates": ["causes"]}]}',
+        '{"pathways": [{"entities": ["@S", "@T", "@S", "@T"], "predicates": ["@P"]}]}',
+        '{"pathways": [{"entities": ["@S"], "predicates": []}]}',
+        '{}',
     ], ids=["unparsable", "top-level-list", "pathways-object", "row-not-object",
-            "no-entities", "predicates-string", "entities-non-string"])
+            "no-entities", "predicates-string", "entities-non-string",
+            "predicates-short", "one-entity", "no-pathways"])
     def test_bad_pathways_file_exit_one(self, workdir, tmp_path, capsys, text):
+        # "@S" -["@P"]-> "@T" stand for an edge of the graph
+        graph = load_snapshot(workdir / "graph.rpkg")
+        source, predicate, target = next(iter(graph.relations.values())).triple
+        for token, value in (("@S", graph.entities[source].canonical_name),
+                             ("@P", predicate),
+                             ("@T", graph.entities[target].canonical_name)):
+            text = text.replace(f'"{token}"', json.dumps(value))
         pathways = tmp_path / "bad_paths.json"
         pathways.write_text(text)
         code = main(["export", str(workdir), "--pathways", str(pathways)])
@@ -613,7 +624,7 @@ class TestSettingsDefinedOnce:
     def test_ingest_builds_stock_pipeline_config(self, tmp_path, monkeypatch):
         summary = {"entities": 0, "relations": 0, "doc_count": 0,
                    "parse_errors": 0, "rejections": 0, "unregistered": 0}
-        calls = self._record(monkeypatch, "ingest", summary)
+        calls = self._record(monkeypatch, "ingest", (None, "", summary))
         assert main(["ingest", "--triples", "t.jsonl", "--entities", "e.jsonl",
                      "--out", str(tmp_path / "wd")]) == 0
         [(config, _)] = calls
@@ -728,7 +739,8 @@ class TestDeeplyNestedJson:
                            entities=corpus_dir / "entities.jsonl"), wd)
         (wd / "pathways.json").write_text(DEEP)
         with pytest.raises(ConfigError, match="cannot load pathways file .* maximum recursion"):
-            pipeline._stage_report(PipelineConfig.from_json_file(wd / "config.json"), wd)
+            pipeline._stage_report(PipelineConfig.from_json_file(wd / "config.json"), wd,
+                                   load_snapshot(wd / "graph.rpkg"))
         # a pathways.json that its manifest record vouches for: discover is
         # kept and the report stage reads it
         rows = json.loads((wd / "manifest.json").read_text())

@@ -627,7 +627,8 @@ class TestCollectorPaused:
                              tmp_path / "corpus")
         config = PipelineConfig(triples=str(paths["triples"]),
                                 entities=str(paths["entities"]))
-        assert ingest(config, tmp_path)["relations"] > 0
+        _, _, counts = ingest(config, tmp_path)
+        assert counts["relations"] > 0
         assert gc.isenabled() is collector_state
 
     def test_discover_leaves_state(self, collector_state):

@@ -538,12 +538,14 @@ class TestGoldenIngest:
         config = _golden_corpus(tmp_path / "corpus", fmt)
         workdir = tmp_path / "work"
         workdir.mkdir()
-        assert ingest(config, workdir) == {
+        _, digest, counts = ingest(config, workdir)
+        assert counts == {
             "entities": 60, "relations": 212, "doc_count": 80, "rejections": 2,
             "unregistered": 3, "parse_errors": {"jsonl": 16, "tsv": 5}[fmt]}
         digests = tuple(hashlib.sha256((workdir / name).read_bytes()).hexdigest()
                         for name in ("graph.rpkg", "rejections.jsonl", "parse_errors.jsonl"))
         assert digests == GOLDEN_SHA256[fmt]
+        assert digest == digests[0]
 
 
 # --- the direct decode of plain JSONL records ----------------------------------

@@ -22,7 +22,6 @@ from riskpath import (
     PipelineError,
     PlantedChain,
     ScoringConfig,
-    TransientStageError,
     build_graph,
     discover,
     generate,
@@ -60,13 +59,13 @@ def make_config(tmp_path, **overrides) -> PipelineConfig:
 
 class TestRetryPolicy:
     def test_classification(self):
-        assert classify_error(TransientStageError("disk hiccup")) == "transient"
+        assert classify_error(OSError("disk hiccup")) == "transient"
         assert classify_error(OSError("io")) == "transient"
         assert classify_error(ValueError("bad")) == "permanent"
         assert classify_error(PipelineError("nope")) == "permanent"
 
     def test_backoff_doubles(self):
-        err = TransientStageError("x")
+        err = OSError("x")
         assert retry_policy(err, 1, 3, 0.5) == (True, 0.5)
         assert retry_policy(err, 2, 3, 0.5) == (True, 1.0)
         assert retry_policy(err, 3, 3, 0.5) == (True, 2.0)
@@ -291,11 +290,11 @@ class TestRetryIntegration:
         real = pipeline.STAGES["pagerank"]
         calls = {"n": 0}
 
-        def flaky(cfg, wd):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] < 2:
-                raise TransientStageError("injected I/O flake")
-            real(cfg, wd)
+                raise OSError("injected I/O flake")
+            return real(*args)
 
         monkeypatch.setitem(pipeline.STAGES, "pagerank", flaky)
         summary = run(config, workdir)
@@ -307,8 +306,8 @@ class TestRetryIntegration:
         config = make_config(tmp_path)
         workdir = tmp_path / "work"
 
-        def always_broken(cfg, wd):
-            raise TransientStageError("still broken")
+        def always_broken(*args):
+            raise OSError("still broken")
 
         monkeypatch.setitem(pipeline.STAGES, "pagerank", always_broken)
         with pytest.raises(PipelineError, match="4 attempt"):
@@ -322,7 +321,7 @@ class TestRetryIntegration:
         config = make_config(tmp_path)
         workdir = tmp_path / "work"
 
-        def invalid(cfg, wd):
+        def invalid(*args):
             raise ValueError("bad input shape")
 
         monkeypatch.setitem(pipeline.STAGES, "ingest", invalid)
@@ -573,6 +572,31 @@ class TestOneGraphPerRun:
         for name in OUTPUTS:
             assert (crash / name).read_bytes() == (clean / name).read_bytes(), name
 
+    def test_retried_stage_reuses_the_run_graph(self, tmp_path, monkeypatch, loads):
+        def fail_once(stage):
+            real, failed = pipeline.STAGES[stage], []
+
+            def flaky(*args):
+                if not failed:
+                    failed.append(stage)
+                    raise OSError(f"injected {stage} flake")
+                return real(*args)
+            monkeypatch.setitem(pipeline.STAGES, stage, flaky)
+
+        workdir = tmp_path / "work"
+        fail_once("pagerank")
+        fail_once("discover")
+        summary = run(make_config(tmp_path), workdir)
+        assert [record.attempts for record in summary.records] == [1, 2, 2, 1]
+        assert loads == []
+        # a θ-only rerun loads the snapshot for discover's first attempt only
+        fail_once("discover")
+        changed = make_config(tmp_path, scoring=ScoringConfig(theta_novelty=0.55))
+        summary = run(changed, workdir)
+        assert summary.executed == ["discover", "report"]
+        assert [record.attempts for record in summary.records] == [1, 2, 2, 1]
+        assert loads == ["graph.rpkg"]
+
     def test_ingest_hashes_its_snapshot_once(self, tmp_path, monkeypatch):
         hashed = []
         real = pipeline._sha256_file
@@ -603,9 +627,10 @@ class TestOneGraphPerRun:
                             doc_count=graph.doc_count)
         real = pipeline.STAGES[after]
 
-        def then_replace(cfg, wd):
-            real(cfg, wd)
-            save_snapshot(other, wd / "graph.rpkg")
+        def then_replace(*args):
+            result = real(*args)
+            save_snapshot(other, args[1] / "graph.rpkg")
+            return result
 
         monkeypatch.setitem(pipeline.STAGES, after, then_replace)
         workdir = tmp_path / "work"
@@ -616,7 +641,7 @@ class TestOneGraphPerRun:
         shutil.copytree(workdir, expected)
         later = pipeline.STAGE_ORDER[pipeline.STAGE_ORDER.index(after) + 1:]
         for stage in later:
-            pipeline.STAGES[stage](config, expected)
+            pipeline.STAGES[stage](config, expected, load_snapshot(expected / "graph.rpkg"))
         names = [name for stage in later for name in pipeline.STAGE_OUTPUTS[stage]]
         assert {name: (workdir / name).read_bytes() for name in names} == \
             {name: (expected / name).read_bytes() for name in names}
