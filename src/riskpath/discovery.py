@@ -226,8 +226,7 @@ def _extension_bound(num_entities: int, transitions: int, impact_sum: float,
         ip = impact_sum / (num_entities + hop + 1)
         if ip > ip_bound:
             ip_bound = ip
-    # expression kept identical to combine
-    return config.alpha * 1.0 + config.beta * clc_bound + config.gamma * ip_bound
+    return combine(1.0, clc_bound, ip_bound, config)
 
 
 class _GraphIndex:
@@ -366,7 +365,7 @@ def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
                     a0, a1, a2 = below[0][u], below[1][u], below[2][u]
                 elif h == 2:
                     a0, a1, a2 = (_count_cut([((v, u), bit[v] | bit[u], c, 1)],
-                                             index, ([], []))
+                                             index, ([], []), width)
                                   for c in range(3))
                 else:
                     near = -1
@@ -390,27 +389,26 @@ def _cut_tables(index: _GraphIndex, config: ScoringConfig) -> tuple[list, list]:
     return sigs, counts
 
 
-def _count_cut(stack: list, index: _GraphIndex, tables: tuple[list, list]) -> int:
+def _count_cut(stack: list, index: _GraphIndex, tables: tuple[list, list], width: int) -> int:
     """The candidates among the extensions of the pathways on ``stack``.
 
     This is the one place candidates are counted: :func:`discover` calls it
     once, with a frame per source, and :func:`_cut_tables` on the pathways
     that its h = 2 level cannot take from the level below. A frame is
-    ``(path, bits, transitions, hops)``: the pathway, its signature and
-    layer transitions, and the number of hops its extensions may add. The
-    walk takes one hop at a time. A child with one hop left counts its last
-    hops from its ``targets`` (``cross_targets`` after one transition) less
-    those on the pathway. A child with ``h`` hops left adds its
-    ``counts[h - 2]`` entry of ``tables`` when its ``sigs[h - 2]`` shares no
-    bit with the pathway's signature, and is walked the same way otherwise.
-    A shared bit may be a collision, which costs a walk but never a wrong
-    count.
+    ``(path, bits, transitions, hops)``: the pathway, its signature (bit
+    ``v % width`` for each entity ``v``) and layer transitions, and the
+    number of hops its extensions may add. The walk takes one hop at a time.
+    A child with one hop left counts its last hops from its ``targets``
+    (``cross_targets`` after one transition) less those on the pathway. A
+    child with ``h`` hops left adds its ``counts[h - 2]`` entry of
+    ``tables`` when its ``sigs[h - 2]`` shares no bit with the pathway's
+    signature, and is walked the same way otherwise. A shared bit may be a
+    collision, which costs a walk but never a wrong count.
     """
     adjacency, layer = index.adjacency, index.layer
     targets, cross_targets = index.targets, index.cross_targets
     sigs, counts = tables
     tiers = len(sigs) + 1  # the most hops left that a table covers
-    width = _SIGNATURE_BITS if sigs else 1  # as in discover
     total = 0
     push, pop = stack.append, stack.pop
     while stack:
@@ -540,7 +538,7 @@ def discover(graph: KnowledgeGraph, corpus_stats: CorpusStats,
         # the tables are freed when the count returns, before the ranking
         enumerated = _count_cut([((source,), 1 << source % width, 0, d_max)
                                  for source in index.sources], index,
-                                _cut_tables(index, walk) if tabled else ([], []))
+                                _cut_tables(index, walk) if tabled else ([], []), width)
 
     ranked = [
         (Pathway(tuple(index.entity_ids[i] for i in path),

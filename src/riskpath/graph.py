@@ -53,7 +53,19 @@ SNAPSHOT_MAGIC = b"RPKG"
 SNAPSHOT_VERSION = 2
 
 
-class Layer(Enum):
+class _ParsedEnum(Enum):
+    """An enum whose members are read from their values' text."""
+
+    @classmethod
+    def from_string(cls, text: str):
+        try:
+            return cls(text.strip().lower())
+        except (ValueError, AttributeError):  # AttributeError: not a string
+            raise ValueError(f"unknown {cls.__name__.lower()} {text!r}; expected one of "
+                             f"{[m.value for m in cls]}") from None
+
+
+class Layer(_ParsedEnum):
     """Risk domain of an entity. Ordered physical < social < economic."""
 
     PHYSICAL = "physical"
@@ -69,32 +81,35 @@ class Layer(Enum):
             return NotImplemented
         return self.rank < other.rank
 
-    @classmethod
-    def from_string(cls, text: str) -> "Layer":
-        try:
-            return cls(text.strip().lower())
-        except (ValueError, AttributeError):  # AttributeError: not a string
-            raise ValueError(f"unknown layer {text!r}; expected one of "
-                             f"{[m.value for m in cls]}") from None
-
 
 _LAYER_RANK = {Layer.PHYSICAL: 0, Layer.SOCIAL: 1, Layer.ECONOMIC: 2}
 
 
-class Phase(Enum):
+class Phase(_ParsedEnum):
     """Temporal manifestation window of a relation."""
 
     ACUTE = "acute"        # 0-3 days
     SUBACUTE = "subacute"  # 3-14 days
     CHRONIC = "chronic"    # 14+ days
 
+
+# every phase set by its saved list (values in Phase order), each built once:
+# parsed and loaded relations share these eight objects
+_PHASE_SETS = {tuple(p.value for p in subset): frozenset(subset)
+               for n in range(len(Phase) + 1) for subset in combinations(Phase, n)}
+
+
+class _CheckedTuple:
+    """Base of Entity and Relation: an immutable tuple of the fields, equal to
+    a plain tuple of the same values. Construction, ``_make`` and
+    ``_replace`` all check the fields (namedtuple's own ``_make``, which
+    ``_replace`` calls, skips ``__new__``)."""
+
+    __slots__ = ()
+
     @classmethod
-    def from_string(cls, text: str) -> "Phase":
-        try:
-            return cls(text.strip().lower())
-        except (ValueError, AttributeError):  # AttributeError: not a string
-            raise ValueError(f"unknown phase {text!r}; expected one of "
-                             f"{[m.value for m in cls]}") from None
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _EntityFields(NamedTuple):
@@ -105,12 +120,9 @@ class _EntityFields(NamedTuple):
     aliases: frozenset[str]
 
 
-class Entity(_EntityFields):
-    """Canonical node: layer assignment plus a severity weight in [0, 1].
-
-    An immutable tuple of its fields, equal to a plain tuple of the same
-    values. Construction, ``_make`` and ``_replace`` all check the fields.
-    """
+class Entity(_CheckedTuple, _EntityFields):
+    """Canonical node: layer assignment plus a severity weight in [0, 1]; a
+    checked tuple of its fields (``_CheckedTuple``)."""
 
     __slots__ = ()
 
@@ -132,11 +144,6 @@ class Entity(_EntityFields):
         # stored as a float, the one type a snapshot's severity column holds
         return tuple.__new__(cls, (id, canonical_name, layer, float(severity), aliases))
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
-
 
 class _RelationFields(NamedTuple):
     id: str
@@ -147,12 +154,9 @@ class _RelationFields(NamedTuple):
     phases: frozenset[Phase]
 
 
-class Relation(_RelationFields):
-    """Directed labeled edge with document provenance and phase tags.
-
-    An immutable tuple of its fields, equal to a plain tuple of the same
-    values. Construction, ``_make`` and ``_replace`` all check the fields.
-    """
+class Relation(_CheckedTuple, _RelationFields):
+    """Directed labeled edge with document provenance and phase tags; a
+    checked tuple of its fields (``_CheckedTuple``)."""
 
     __slots__ = ()
 
@@ -169,11 +173,6 @@ class Relation(_RelationFields):
         if not isinstance(phases, frozenset):
             phases = frozenset(phases)
         return tuple.__new__(cls, (id, source, predicate, target, doc_ids, phases))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def triple(self) -> tuple[str, str, str]:
@@ -334,9 +333,6 @@ class collector_paused:
 _HEADER = struct.Struct(">4sH")
 _LAYERS = {layer.value: layer for layer in Layer}
 _PHASES = {phase.value: phase for phase in Phase}
-# every phase set by its saved list: relations share these few objects
-_PHASE_SETS = {tuple(p.value for p in subset): frozenset(subset)
-               for n in range(len(Phase) + 1) for subset in combinations(Phase, n)}
 _ENTITY_ROW = (str, str, str, float, list)
 _RELATION_ROW = (str, str, str, str, list, list)
 _encode = json.JSONEncoder(separators=(",", ":")).encode

@@ -14,11 +14,13 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from numbers import Real
 from operator import itemgetter
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import ConfigError, IngestError
-from .graph import _SURROGATE_ESCAPE, Entity, KnowledgeGraph, Layer, Phase, Relation
+from .graph import (_PHASE_SETS, _SURROGATE_ESCAPE, Entity, KnowledgeGraph, Layer, Phase,
+                    Relation)
 
 DEFAULT_MALFORMED_TOLERANCE = 0.1
 TRIPLES_FORMATS = ("jsonl", "tsv")
@@ -67,7 +69,9 @@ class _SharedStrings(dict):
 
 @dataclass(frozen=True)
 class EntityMeta:
-    """Canonical entity name with its layer, severity, and known aliases."""
+    """Canonical entity name with its layer, severity, and known aliases.
+    Construction checks each field (ConfigError) and stores the name trimmed,
+    a layer given as text parsed, the severity a float, the aliases a tuple."""
 
     name: str
     layer: Layer
@@ -75,9 +79,26 @@ class EntityMeta:
     aliases: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 <= self.severity <= 1.0:
-            raise ConfigError(f"entity meta {self.name!r}: severity "
-                              f"{self.severity} not in [0, 1]")
+        name, layer, severity, aliases = self.name, self.layer, self.severity, self.aliases
+        try:
+            if not isinstance(name, str) or not name.strip():
+                raise ValueError("field 'name' must be a non-empty string")
+            if (not isinstance(aliases, (list, tuple))
+                    or not all(isinstance(a, str) for a in aliases)):
+                raise ValueError("field 'aliases' must be an array of strings")
+            for text in (name, *aliases):
+                text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+            # the comparison is false for a NaN
+            if (isinstance(severity, bool) or not isinstance(severity, Real)
+                    or not 0 <= severity <= 1):
+                raise ValueError(
+                    f"field 'severity' must be a number in [0, 1], got {severity!r}")
+            layer = layer if isinstance(layer, Layer) else Layer.from_string(layer)
+        except ValueError as exc:  # UnicodeEncodeError included
+            raise ConfigError(str(exc)) from None
+        for key, value in (("name", name.strip()), ("layer", layer),
+                           ("severity", float(severity)), ("aliases", tuple(aliases))):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -94,13 +115,6 @@ class CorpusStats:
             edge_doc_index={rid: rel.doc_ids for rid, rel in graph.relations.items()},
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_count": self.doc_count,
-            "edge_doc_index": {rid: sorted(docs)
-                               for rid, docs in sorted(self.edge_doc_index.items())},
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusStats":
         return cls(
@@ -115,17 +129,13 @@ def normalize_name(text: str) -> str:
     return _WHITESPACE.sub(" ", text.strip().lower())
 
 
-# every phase set, each once: equal parsed sets share one object
-_PHASE_SETS = {phases: phases for phases in (
-    frozenset(p for i, p in enumerate(Phase) if bits >> i & 1)
-    for bits in range(1 << len(Phase)))}
-
-
 def _parse_phases(values, line: int) -> frozenset[Phase]:
+    """The shared phase set (``graph._PHASE_SETS``) that ``values`` name."""
     try:
-        return _PHASE_SETS[frozenset(Phase.from_string(v) for v in values)]
+        phases = {Phase.from_string(v) for v in values}
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad phases: {exc}") from None
+    return _PHASE_SETS[tuple(p.value for p in Phase if p in phases)]
 
 
 def _check_triple_fields(values: tuple, check_encoding: bool) -> None:
@@ -255,6 +265,16 @@ def parse_triples(stream: TextIO, format: str = "jsonl",
     return triples, errors
 
 
+def _meta_by_name(meta: Iterable[EntityMeta]) -> dict[str, EntityMeta]:
+    """The entries by name, in order; a name given twice is a ConfigError."""
+    by_name: dict[str, EntityMeta] = {}
+    for entry in meta:
+        if entry.name in by_name:
+            raise ConfigError(f"duplicate entity meta name {entry.name!r}")
+        by_name[entry.name] = entry
+    return by_name
+
+
 def build_alias_map(meta: Iterable[EntityMeta],
                     extra_aliases: dict[str, str] | None = None) -> dict[str, str]:
     """Normalized surface form -> canonical name. Collisions are config errors."""
@@ -271,11 +291,7 @@ def build_alias_map(meta: Iterable[EntityMeta],
                 f"{canonical!r} ({origin})")
         alias_map[key] = canonical
 
-    seen_names = set()
-    for entry in meta:
-        if entry.name in seen_names:
-            raise ConfigError(f"duplicate entity meta name {entry.name!r}")
-        seen_names.add(entry.name)
+    for entry in _meta_by_name(meta).values():
         put(entry.name, entry.name, "meta name")
         for alias in entry.aliases:
             put(alias, entry.name, f"alias of {entry.name!r}")
@@ -326,12 +342,18 @@ def canonicalize(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
 
 
 def load_layer_lexicon(data: dict[str, str]) -> list[tuple[str, Layer]]:
-    """Fallback keyword -> layer rules, kept in file order (first match wins)."""
-    try:
-        return [(normalize_name(keyword), Layer.from_string(layer))
-                for keyword, layer in data.items()]
-    except ValueError as exc:
-        raise ConfigError(f"layer lexicon: {exc}") from None
+    """Fallback keyword -> layer rules, kept in file order (first match wins);
+    a blank keyword, which would match every name, is a ConfigError."""
+    rules = []
+    for keyword, layer in data.items():
+        key = normalize_name(keyword)
+        if not key:
+            raise ConfigError(f"layer lexicon: blank keyword {keyword!r}")
+        try:
+            rules.append((key, Layer.from_string(layer)))
+        except ValueError as exc:
+            raise ConfigError(f"layer lexicon: {exc}") from None
+    return rules
 
 
 def relation_id(subject: str, predicate: str, object_: str) -> str:
@@ -363,11 +385,7 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
     permutation of the input triples.
     """
     triples = list(triples)
-    meta_by_name = {}
-    for entry in meta:
-        if entry.name in meta_by_name:
-            raise ConfigError(f"duplicate entity meta name {entry.name!r}")
-        meta_by_name[entry.name] = entry
+    meta_by_name = _meta_by_name(meta)
     lexicon = lexicon or []
 
     # doc ids and phases per distinct (s, p, o); the rest works on these
@@ -430,7 +448,8 @@ def aggregate(triples: Iterable[RawTriple], meta: Iterable[EntityMeta],
 # --- metadata file parsing -------------------------------------------------
 
 def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
-    """Entity metadata JSONL: name, layer, severity, optional aliases."""
+    """Entity metadata JSONL: name, layer, severity, optional aliases, each
+    checked by ``EntityMeta``; any defect names its line."""
     entries = []
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
@@ -439,27 +458,10 @@ def parse_entity_meta(stream: TextIO) -> list[EntityMeta]:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ValueError("record is not a JSON object")
-            name = record["name"]
-            if not isinstance(name, str) or not name.strip():
-                raise ValueError("field 'name' must be a non-empty string")
-            aliases = record.get("aliases", [])
-            if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-                raise ValueError("field 'aliases' must be an array of strings")
-            for text in (name, *aliases):
-                text.encode("utf-8")  # a lone surrogate escape raises UnicodeEncodeError
-            severity = record["severity"]
-            # a JSON number; the comparison is false for a NaN literal
-            if (isinstance(severity, bool) or not isinstance(severity, (int, float))
-                    or not 0 <= severity <= 1):
-                raise ValueError(
-                    f"field 'severity' must be a number in [0, 1], got {severity!r}")
-            entries.append(EntityMeta(
-                name=name.strip(),
-                layer=Layer.from_string(record["layer"]),
-                severity=float(severity),
-                aliases=tuple(aliases),
-            ))
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+            entries.append(EntityMeta(name=record["name"], severity=record["severity"],
+                                      layer=record["layer"],
+                                      aliases=record.get("aliases", [])))
+        except (KeyError, ValueError, TypeError, RecursionError, ConfigError) as exc:
             raise IngestError(f"entity metadata line {line_no}: {exc}") from None
     return entries
 

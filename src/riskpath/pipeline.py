@@ -76,8 +76,8 @@ from .ingest import (
     parse_entity_meta,
     parse_triples,
 )
-from .scoring import (CentralityScores, ScoringConfig, check_field_types, pagerank,
-                      read_json_object)
+from .scoring import (CentralityScores, ScoringConfig, check_field_types,
+                      check_known_fields, pagerank, read_json_object)
 
 logger = logging.getLogger(__name__)
 
@@ -149,10 +149,7 @@ class PipelineConfig:
         scoring = data.pop("scoring", {})
         if not isinstance(scoring, dict):
             raise ConfigError("pipeline config field 'scoring' must be an object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown pipeline config field(s): {sorted(unknown)}")
+        check_known_fields(cls, data, "pipeline")
         return cls(scoring=ScoringConfig.from_dict(scoring), **data)
 
     @classmethod
@@ -260,11 +257,16 @@ def _same_bytes(path: Path, other: Path) -> bool:
 def _replace_unless_same(tmp: Path, path: Path) -> None:
     """Rename ``tmp`` over ``path``, or delete it when ``path`` already holds
     its bytes: on ext4, a rename over a file that an earlier rename put in
-    place waits for a writeback, and deleting such a file later waits too."""
+    place waits for a writeback, and deleting such a file later waits too.
+    A rename that fails deletes ``tmp`` and raises."""
     if _same_bytes(path, tmp):
         tmp.unlink()
-    else:
+        return
+    try:
         os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -282,42 +284,31 @@ def _atomic_write_jsonl(path: Path, rows: list[dict]) -> None:
                                      for row in rows))
 
 
+# what each stage's input fingerprint covers: the PipelineConfig or
+# ScoringConfig fields it reads (the snapshot version reruns ingest on a
+# graph.rpkg of another format) and its input files, PipelineConfig paths or
+# working-directory files (_WORKDIR_INPUTS)
+_STAGE_INPUTS = {
+    "ingest": (("triples_format", "strict", "malformed_tolerance", "snapshot_version"),
+               ("triples", "entities", "aliases", "layer_lexicon")),
+    "pagerank": (("damping", "pr_tolerance", "pr_max_iters"), ("graph",)),
+    "discover": (("alpha", "beta", "gamma", "theta_novelty", "d_max", "top_k",
+                  "fmax_mode", "freq_mode", "undirected"), ("graph", "pagerank")),
+    "report": (("temporal_by",), ("graph", "pathways")),
+}
+_WORKDIR_INPUTS = {"graph": "graph.rpkg", "pagerank": "pagerank.json",
+                   "pathways": "pathways.json"}
+
+
 def _stage_inputs(stage: str, config: PipelineConfig,
                   workdir: Path) -> tuple[str, dict[str, str]]:
     """The stage's input fingerprint, and the content hash of each input file
     it covers by name."""
-    scoring = config.scoring
-    if stage == "ingest":
-        # the snapshot version makes a graph.rpkg of another format rerun ingest
-        part = {"triples_format": config.triples_format, "strict": config.strict,
-                "malformed_tolerance": config.malformed_tolerance,
-                "snapshot_version": SNAPSHOT_VERSION}
-        files = _hash_inputs({
-            "triples": config.triples, "entities": config.entities,
-            "aliases": config.aliases, "layer_lexicon": config.layer_lexicon,
-        })
-    elif stage == "pagerank":
-        part = {"damping": scoring.damping, "pr_tolerance": scoring.pr_tolerance,
-                "pr_max_iters": scoring.pr_max_iters}
-        files = _hash_inputs({"graph": str(workdir / "graph.rpkg")})
-    elif stage == "discover":
-        part = {"alpha": scoring.alpha, "beta": scoring.beta, "gamma": scoring.gamma,
-                "theta_novelty": scoring.theta_novelty, "d_max": scoring.d_max,
-                "top_k": scoring.top_k, "fmax_mode": scoring.fmax_mode,
-                "freq_mode": scoring.freq_mode, "undirected": config.undirected}
-        files = _hash_inputs({
-            "graph": str(workdir / "graph.rpkg"),
-            "pagerank": str(workdir / "pagerank.json"),
-        })
-    elif stage == "report":
-        part = {"temporal_by": config.temporal_by}
-        files = _hash_inputs({
-            "graph": str(workdir / "graph.rpkg"),
-            "pathways": str(workdir / "pathways.json"),
-        })
-    else:
-        raise PipelineError(f"unknown stage {stage!r}")
-    return _fingerprint(stage, part, files), files
+    settings, files = _STAGE_INPUTS[stage]
+    values = {**vars(config), **vars(config.scoring), "snapshot_version": SNAPSHOT_VERSION,
+              **{name: workdir / path for name, path in _WORKDIR_INPUTS.items()}}
+    hashes = _hash_inputs({name: values[name] for name in files})
+    return _fingerprint(stage, {name: values[name] for name in settings}, hashes), hashes
 
 
 # --- stage bodies -------------------------------------------------------------

@@ -71,6 +71,13 @@ def check_field_types(config) -> None:
                               f"got {value!r}")
 
 
+def check_known_fields(cls, data: Mapping, what: str) -> None:
+    """Raise ConfigError naming the keys of ``data`` that no field of ``cls`` has."""
+    unknown = set(data) - cls.__dataclass_fields__.keys()
+    if unknown:
+        raise ConfigError(f"unknown {what} config field(s): {sorted(unknown)}")
+
+
 def read_json_object(path, what: str) -> dict:
     """The JSON object a UTF-8 file holds. A file that cannot be read or
     decoded, or that holds another JSON type, is a ConfigError naming
@@ -139,10 +146,7 @@ class ScoringConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScoringConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scoring config field(s): {sorted(unknown)}")
+        check_known_fields(cls, data, "scoring")
         return cls(**dict(data))
 
     @classmethod
@@ -154,12 +158,21 @@ class ScoringConfig:
         return replace(self, **changes) if changes else self
 
 
+def max_normalized(scores: Mapping[str, float]) -> dict[str, float]:
+    """Each score divided by the largest; ScoringError unless that is positive."""
+    peak = max(scores.values(), default=0.0)
+    if not peak > 0:
+        raise ScoringError(f"centrality scores: the largest score, {peak!r}, is not positive")
+    return {eid: score / peak for eid, score in scores.items()}
+
+
 @dataclass(frozen=True)
 class CentralityScores:
     """Raw (sums to 1) and max-normalized PageRank per entity id.
 
-    ``stamp`` is :func:`pagerank_stamp` of the graph and settings the scores
-    were computed from (None when unknown), so stale scores can be told apart.
+    ``normalized`` is ``max_normalized(scores)``. ``stamp`` is
+    :func:`pagerank_stamp` of the graph and settings the scores were computed
+    from (None when unknown), so stale scores can be told apart.
     """
 
     scores: dict[str, float]
@@ -179,8 +192,9 @@ class CentralityScores:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CentralityScores":
-        """Inverse of :meth:`to_dict`; a missing or ill-typed key, or a score
-        that is not a number in [0, 1], raises ScoringError."""
+        """Inverse of :meth:`to_dict`; a missing or ill-typed key, a score
+        not in [0, 1], or no positive score raises ScoringError. The stored
+        ``normalized`` is checked so too, but derived from ``scores`` again."""
         try:
             scores, normalized = dict(data["scores"]), dict(data["normalized"])
             iterations_used, converged = data["iterations_used"], data["converged"]
@@ -193,7 +207,7 @@ class CentralityScores:
                 or not (stamp is None or isinstance(stamp, dict))):
             raise ScoringError("centrality scores: ill-typed value or a score "
                                "outside [0, 1]")
-        return cls(scores, normalized, iterations_used, converged, stamp)
+        return cls(scores, max_normalized(scores), iterations_used, converged, stamp)
 
 
 @dataclass(frozen=True)
@@ -269,10 +283,8 @@ def pagerank(graph: KnowledgeGraph, config: ScoringConfig) -> CentralityScores:
     else:
         logger.warning("pagerank did not converge in %d iterations", iterations)
 
-    peak = rank.max()
-    scores = {eid: float(rank[i]) for i, eid in enumerate(ids)}
-    normalized = {eid: float(rank[i] / peak) for i, eid in enumerate(ids)}
-    return CentralityScores(scores=scores, normalized=normalized,
+    scores = dict(zip(ids, rank.tolist()))
+    return CentralityScores(scores=scores, normalized=max_normalized(scores),
                             iterations_used=iterations, converged=converged,
                             stamp=pagerank_stamp(graph, config))
 

@@ -86,8 +86,10 @@ class TestIngestCommand:
         ("--layer-lexicon", "{not json"),
         ("--layer-lexicon", '["flood"]'),
         ("--layer-lexicon", '{"flood": "orbital"}'),
+        ("--layer-lexicon", '{"  ": "economic", "water": "social"}'),
     ], ids=["aliases-unparsable", "aliases-list", "aliases-non-string",
-            "lexicon-unparsable", "lexicon-list", "lexicon-unknown-layer"])
+            "lexicon-unparsable", "lexicon-list", "lexicon-unknown-layer",
+            "lexicon-blank-keyword"])
     def test_malformed_side_file_exit_one(self, tmp_path, corpus_dir, capsys,
                                           flag, text):
         side = tmp_path / "side.json"
@@ -261,6 +263,24 @@ class TestDiscoverCommand:
         capsys.readouterr()
         assert main(["discover", str(workdir)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_stored_normalized_is_not_read(self, workdir, capsys):
+        assert main(["pagerank", str(workdir)]) == 0
+        capsys.readouterr()
+        code, expected = run_json(capsys, ["discover", str(workdir), "--format", "json"])
+        assert code == 0
+        pr_path = workdir / "pagerank.json"
+        pr_path.write_text(_set_every_normalized(pr_path.read_text(), "1.0"))
+        code, payload = run_json(capsys, ["discover", str(workdir), "--format", "json"])
+        assert code == 0
+        assert payload == expected
+
+    def test_out_naming_a_directory_exit_one_leaves_no_temp_file(self, workdir, capsys):
+        out = workdir / "taken"
+        out.mkdir()
+        assert main(["discover", str(workdir), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (workdir / "taken.tmp").exists()
 
     def _discover_recomputes(self, workdir, capsys, caplog):
         capsys.readouterr()

@@ -25,6 +25,7 @@ from riskpath import (
 import riskpath.ingest as ingest_module
 from riskpath.ingest import (_triple_from_json, build_alias_map, load_layer_lexicon,
                              relation_id)
+from riskpath.graph import _PHASE_SETS
 from riskpath.pipeline import PipelineConfig, ingest
 
 
@@ -242,6 +243,9 @@ class TestSharedStrings:
         assert phases == [frozenset({Phase.ACUTE})] * 2 + [
             frozenset({Phase.ACUTE, Phase.CHRONIC})] * 3 + [frozenset({Phase.ACUTE})]
         assert len(set(map(id, phases))) == 2
+        # the objects a snapshot load gives its relations
+        assert phases[0] is _PHASE_SETS[("acute",)]
+        assert phases[2] is _PHASE_SETS[("acute", "chronic")]
 
 
 class TestCanonicalize:
@@ -344,6 +348,13 @@ class TestAggregate:
         flood = next(e for e in result.entities if e.id == "flash flood")
         assert flood.layer is Layer.PHYSICAL
         assert flood.severity == 0.5
+
+    @pytest.mark.parametrize("keyword", ["", "  ", "\t\n"])
+    def test_blank_lexicon_keyword_is_config_error(self, keyword):
+        # a blank keyword is in every name: it would place every unregistered one
+        with pytest.raises(ConfigError) as caught:
+            load_layer_lexicon({keyword: "economic", "water": "social"})
+        assert str(caught.value) == f"layer lexicon: blank keyword {keyword!r}"
 
     def test_unregistered_without_lexicon_rejected_and_dropped(self):
         triples = [RawTriple("mystery", "does", "water demand", "d1"),
@@ -453,6 +464,81 @@ class TestEntityMetaParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             build_alias_map([EntityMeta("x", Layer.SOCIAL, 0.5),
                              EntityMeta("x", Layer.SOCIAL, 0.6)])
+
+    @pytest.mark.parametrize("second", [EntityMeta("x", Layer.SOCIAL, 0.6), None],
+                             ids=["equal-name", "same-entry"])
+    def test_duplicate_meta_name_rejected_by_aggregate(self, second):
+        first = EntityMeta("x", Layer.SOCIAL, 0.5)
+        with pytest.raises(ConfigError, match="duplicate entity meta name 'x'"):
+            aggregate([], [first, second or first])
+
+    # each line holds one defect; the messages are those the parser gave
+    # while it repeated EntityMeta's checks
+    @pytest.mark.parametrize("line, message", [
+    ('[1]',
+     'entity metadata line 2: record is not a JSON object'),
+    ('{"layer": "social", "severity": 0.5}',
+     "entity metadata line 2: 'name'"),
+    ('{"name": " ", "layer": "social", "severity": 0.5}',
+     "entity metadata line 2: field 'name' must be a non-empty string"),
+    ('{"name": 7, "layer": "social", "severity": 0.5}',
+     "entity metadata line 2: field 'name' must be a non-empty string"),
+    ('{"name": "y", "layer": "social", "severity": 0.5, "aliases": "a"}',
+     "entity metadata line 2: field 'aliases' must be an array of strings"),
+    ('{"name": "y", "layer": "social", "severity": 0.5, "aliases": [3]}',
+     "entity metadata line 2: field 'aliases' must be an array of strings"),
+    ('{"name": "y\\udc00", "layer": "social", "severity": 0.5}',
+     "entity metadata line 2: 'utf-8' codec can't encode character '\\udc00' in position 1: surrogates not allowed"),
+    ('{"name": "y", "layer": "social", "severity": 0.5, "aliases": ["\\ud800"]}',
+     "entity metadata line 2: 'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+    ('{"name": "y", "layer": "social"}',
+     "entity metadata line 2: 'severity'"),
+    ('{"name": "y", "layer": "social", "severity": true}',
+     "entity metadata line 2: field 'severity' must be a number in [0, 1], got True"),
+    ('{"name": "y", "layer": "social", "severity": "0.5"}',
+     "entity metadata line 2: field 'severity' must be a number in [0, 1], got '0.5'"),
+    ('{"name": "y", "layer": "social", "severity": NaN}',
+     "entity metadata line 2: field 'severity' must be a number in [0, 1], got nan"),
+    ('{"name": "y", "layer": "social", "severity": 1.5}',
+     "entity metadata line 2: field 'severity' must be a number in [0, 1], got 1.5"),
+    ('{"name": "y", "severity": 0.5}',
+     "entity metadata line 2: 'layer'"),
+    ('{"name": "y", "layer": "orbital", "severity": 0.5}',
+     "entity metadata line 2: unknown layer 'orbital'; expected one of ['physical', 'social', 'economic']"),
+    ('{"name": "y", "layer": 1, "severity": 0.5}',
+     "entity metadata line 2: unknown layer 1; expected one of ['physical', 'social', 'economic']"),
+    ])
+    def test_single_defect_messages(self, line, message):
+        with pytest.raises(IngestError) as caught:
+            parse_entity_meta(io.StringIO(
+                '{"name": "x", "layer": "social", "severity": 0.5}\n' + line + "\n"))
+        assert str(caught.value) == message
+
+
+class TestEntityMetaChecks:
+    @pytest.mark.parametrize("severity", [True, "0.5", float("nan"), -0.1, 1.5, None])
+    def test_bad_severity_is_config_error(self, severity):
+        with pytest.raises(ConfigError, match="field 'severity' must be a number in"):
+            EntityMeta("heat", Layer.PHYSICAL, severity)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"name": "  "}, "field 'name' must be a non-empty string"),
+        ({"name": 3}, "field 'name' must be a non-empty string"),
+        ({"aliases": "heat wave"}, "field 'aliases' must be an array of strings"),
+        ({"aliases": ("\ud800",)}, "surrogates not allowed"),
+        ({"layer": "orbital"}, "unknown layer 'orbital'"),
+        ({"layer": None}, "unknown layer None"),
+    ])
+    def test_bad_field_is_config_error(self, change, message):
+        fields = {"name": "heat", "layer": Layer.PHYSICAL, "severity": 0.5, **change}
+        with pytest.raises(ConfigError, match=message):
+            EntityMeta(**fields)
+
+    def test_fields_are_stored_normalized(self):
+        meta = EntityMeta(" heat ", " Physical", 1, ["heat wave"])
+        assert meta == EntityMeta("heat", Layer.PHYSICAL, 1.0, ("heat wave",))
+        assert type(meta.severity) is float
+        assert type(meta.aliases) is tuple
 
 
 class TestNormalizeName:

@@ -38,6 +38,7 @@ from riskpath.pipeline import (
     run,
 )
 from riskpath.syngen import write_corpus
+from test_ingest import _golden_corpus
 from util import subprocess_env
 
 CHAIN = PlantedChain((Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC), attestations=1)
@@ -647,6 +648,26 @@ class TestOneGraphPerRun:
             {name: (expected / name).read_bytes() for name in names}
         assert any((workdir / name).read_bytes() != (clean / name).read_bytes()
                    for name in names)
+
+
+class TestStageFingerprints:
+    # each stage's input fingerprint on the golden ingest corpus; one that
+    # moves reruns that stage in every working directory written before
+    PINNED = {
+        "ingest": {
+            "jsonl": "710583c5427279cdaf65aeffd1e3d369632272f2fd50d44d00aadbd3a0c89b6e",
+            "tsv": "a6d9c67101122e64ad9e83d6a235a689855b5766c8c343dd7749ab383c533039"},
+        "pagerank": "a9ee59d41dd0e1d3f27fea20727d0c341bf11173c8803b8942f15ee568349328",
+        "discover": "164e8ae403419fcc4f93474dfe8a8ffcd35455af902adb1842c1e72482434332",
+        "report": "dc1106073bf2118c34dcb31e28a77a06eec49fca674d50e5ff7dbfd34d8ee456",
+    }
+
+    @pytest.mark.parametrize("fmt", ("jsonl", "tsv"))
+    def test_pinned_on_golden_corpus(self, tmp_path, fmt):
+        summary = run(_golden_corpus(tmp_path / "corpus", fmt), tmp_path / "work")
+        assert summary.executed == list(pipeline.STAGE_ORDER)
+        want = dict(self.PINNED, ingest=self.PINNED["ingest"][fmt])
+        assert {r.stage_name: r.input_fingerprint for r in summary.records} == want
 
 
 class TestLock:

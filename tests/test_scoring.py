@@ -146,7 +146,9 @@ def fake_centrality(normalized: dict[str, float]) -> CentralityScores:
 
 class TestCentralityScoresFromDict:
     def test_round_trip(self):
-        centrality = fake_centrality({"a": 1.0, "b": 0.5})
+        centrality = CentralityScores(scores={"a": 0.5, "b": 0.25},
+                                      normalized={"a": 1.0, "b": 0.5},
+                                      iterations_used=1, converged=True)
         assert CentralityScores.from_dict(centrality.to_dict()) == centrality
 
     def test_stamp_round_trips_and_may_be_absent(self):
@@ -179,6 +181,23 @@ class TestCentralityScoresFromDict:
         data = fake_centrality({"a": 1.0, "b": 0.5}).to_dict()
         edit(data)
         with pytest.raises(ScoringError):
+            CentralityScores.from_dict(data)
+
+    def test_normalized_is_derived_from_scores(self):
+        graph, _ = chain_graph([Layer.PHYSICAL, Layer.SOCIAL, Layer.ECONOMIC])
+        centrality = pagerank(graph, DEFAULTS)
+        data = json.loads(json.dumps(centrality.to_dict()))
+        data["normalized"] = {eid: 1.0 for eid in data["normalized"]}
+        assert CentralityScores.from_dict(data) == centrality
+        peak = max(centrality.scores.values())
+        assert centrality.normalized == {eid: score / peak
+                                         for eid, score in centrality.scores.items()}
+
+    @pytest.mark.parametrize("scores", [{}, {"a": 0.0, "b": 0.0}])
+    def test_no_positive_score_is_scoring_error(self, scores):
+        data = {"scores": scores, "normalized": {}, "iterations_used": 1,
+                "converged": True}
+        with pytest.raises(ScoringError, match="is not positive"):
             CentralityScores.from_dict(data)
 
     def test_non_object_is_scoring_error(self):
